@@ -265,7 +265,9 @@ ClusterSoak::ClusterSoak(ClusterSoakParams p)
   for (std::size_t i = 0; i < params_.nodes; ++i) {
     NodeConfig nc;
     nc.cpus = params_.cpus_per_node;
-    Node& n = fabric_.add_node("n" + std::to_string(i), nc);
+    std::string name = "n";
+    name += std::to_string(i);
+    Node& n = fabric_.add_node(name, nc);
     if (i > 0) fabric_.connect(fabric_.node(0), n);
 
     auto rt = std::make_unique<NodeRt>();

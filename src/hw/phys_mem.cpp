@@ -18,8 +18,8 @@ std::span<std::uint8_t> PhysicalMemory::chunk_for(PhysAddr pa, bool create) {
   const std::size_t idx = static_cast<std::size_t>(pa / kChunkBytes);
   if (!chunks_[idx]) {
     if (!create) return {};
+    // Value-initialized, so the fresh chunk is already zero.
     chunks_[idx] = std::make_unique<std::uint8_t[]>(kChunkBytes);
-    std::memset(chunks_[idx].get(), 0, kChunkBytes);
   }
   return {chunks_[idx].get(), kChunkBytes};
 }
@@ -118,15 +118,25 @@ void PhysicalMemory::zero_frame(Pfn pfn) {
 }
 
 void PhysicalMemory::copy_frame(Pfn dst, Pfn src) {
-  note_write(addr_of(dst));
-  auto sc = chunk_for(addr_of(src));
-  if (sc.empty()) {
+  copy_frame_from(*this, src, dst);
+}
+
+std::span<const std::uint8_t> PhysicalMemory::frame_view(Pfn pfn) const {
+  auto c = chunk_for(addr_of(pfn));
+  if (c.empty()) return {};
+  return c.subspan(addr_of(pfn) % kChunkBytes, kPageSize);
+}
+
+void PhysicalMemory::copy_frame_from(const PhysicalMemory& from, Pfn src,
+                                     Pfn dst) {
+  auto sv = from.frame_view(src);
+  if (sv.empty()) {
     zero_frame(dst);
     return;
   }
+  note_write(addr_of(dst));
   auto dc = chunk_for(addr_of(dst), true);
-  std::memcpy(dc.data() + addr_of(dst) % kChunkBytes,
-              sc.data() + addr_of(src) % kChunkBytes, kPageSize);
+  std::memmove(dc.data() + addr_of(dst) % kChunkBytes, sv.data(), kPageSize);
 }
 
 std::size_t PhysicalMemory::resident_chunks() const {

@@ -41,6 +41,15 @@ class PhysicalMemory {
   /// Copy a whole frame.
   void copy_frame(Pfn dst, Pfn src);
 
+  /// Read-only view of one frame's bytes; empty when the frame's chunk was
+  /// never materialized (the frame reads as zero).
+  std::span<const std::uint8_t> frame_view(Pfn pfn) const;
+
+  /// Copy frame `src` of `from` (which may be this memory) into frame `dst`.
+  /// A never-materialized source clears `dst` exactly as zero_frame does:
+  /// the store is noted, and no backing is created for it.
+  void copy_frame_from(const PhysicalMemory& from, Pfn src, Pfn dst);
+
   /// Number of backing chunks actually materialized (test/diagnostic hook).
   std::size_t resident_chunks() const;
 

@@ -15,7 +15,8 @@ Snapshot Checkpointer::take(hw::Cpu& cpu, Hypervisor& hv, DomainId dom) {
   snap.first_frame = d.first_frame();
   snap.frame_count = d.frame_count();
   snap.taken_at = cpu.now();
-  snap.image.resize(d.frame_count() * hw::kPageSize);
+  snap.slots.assign(d.frame_count(), Snapshot::kZeroSlot);
+  const hw::PhysicalMemory& mem = hv.machine().memory();
   const hw::Cycles t0 = cpu.now();
   MERC_FLIGHT(cpu, kPhaseBegin, "checkpoint.capture",
               static_cast<std::uint64_t>(d.frame_count()));
@@ -24,10 +25,11 @@ Snapshot Checkpointer::take(hw::Cpu& cpu, Hypervisor& hv, DomainId dom) {
     // the domain's memory was only read, so retry is trivially safe.
     hv.probe_fault(HvFaultPoint::kCheckpointCapture, &cpu);
     cpu.charge(hw::costs::kPageCopy);
-    hv.machine().memory().read_bytes(
-        hw::addr_of(d.first_frame() + static_cast<hw::Pfn>(i)),
-        std::span<std::uint8_t>(snap.image.data() + i * hw::kPageSize,
-                                hw::kPageSize));
+    const auto page =
+        mem.frame_view(d.first_frame() + static_cast<hw::Pfn>(i));
+    if (page.empty()) continue;  // never materialized: stays a zero slot
+    snap.slots[i] = static_cast<std::uint32_t>(snap.stored_frames());
+    snap.image.insert(snap.image.end(), page.begin(), page.end());
   }
   for (std::size_t v = 0; v < d.num_vcpus(); ++v) snap.vcpus.push_back(d.vcpu(v));
   MERC_PAUSE(kCheckpointCopy, cpu.id(), t0, cpu.now(), "checkpoint-capture");
@@ -41,6 +43,7 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
   MERC_CHECK_MSG(d.first_frame() == snap.first_frame &&
                      d.frame_count() == snap.frame_count,
                  "snapshot does not match the domain's memory layout");
+  hw::PhysicalMemory& mem = hv.machine().memory();
   const hw::Cycles t0 = cpu.now();
   MERC_FLIGHT(cpu, kPhaseBegin, "restore.apply",
               static_cast<std::uint64_t>(snap.frame_count));
@@ -51,10 +54,14 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
     // leaves the machine in this state.
     hv.probe_fault(HvFaultPoint::kRestoreApply, &cpu);
     cpu.charge(hw::costs::kPageCopy);
-    hv.machine().memory().write_bytes(
-        hw::addr_of(snap.first_frame + static_cast<hw::Pfn>(i)),
-        std::span<const std::uint8_t>(snap.image.data() + i * hw::kPageSize,
-                                      hw::kPageSize));
+    const hw::Pfn pfn = snap.first_frame + static_cast<hw::Pfn>(i);
+    if (snap.slots[i] == Snapshot::kZeroSlot)
+      mem.zero_frame(pfn);
+    else
+      mem.write_bytes(hw::addr_of(pfn),
+                      std::span<const std::uint8_t>(
+                          snap.image.data() + snap.slots[i] * hw::kPageSize,
+                          hw::kPageSize));
   }
   for (std::size_t v = 0; v < snap.vcpus.size() && v < d.num_vcpus(); ++v)
     d.vcpu(v) = snap.vcpus[v];
@@ -69,11 +76,17 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
 }
 
 bool Checkpointer::matches(Hypervisor& hv, const Snapshot& snap) {
-  std::vector<std::uint8_t> cur(hw::kPageSize);
+  // Both sides may be sparse; an absent page compares as cleared RAM.
+  static const std::vector<std::uint8_t> kZeroPage(hw::kPageSize, 0);
+  const hw::PhysicalMemory& mem = hv.machine().memory();
   for (std::size_t i = 0; i < snap.frame_count; ++i) {
-    hv.machine().memory().read_bytes(
-        hw::addr_of(snap.first_frame + static_cast<hw::Pfn>(i)), cur);
-    if (std::memcmp(cur.data(), snap.image.data() + i * hw::kPageSize,
+    const auto live =
+        mem.frame_view(snap.first_frame + static_cast<hw::Pfn>(i));
+    const std::uint8_t* want =
+        snap.slots[i] == Snapshot::kZeroSlot
+            ? kZeroPage.data()
+            : snap.image.data() + snap.slots[i] * hw::kPageSize;
+    if (std::memcmp(live.empty() ? kZeroPage.data() : live.data(), want,
                     hw::kPageSize) != 0)
       return false;
   }

@@ -16,15 +16,24 @@
 
 namespace mercury::vmm {
 
+/// A domain image stored sparsely: only frames whose backing was resident
+/// at capture keep their bytes; every other frame read as zero then.
 struct Snapshot {
+  static constexpr std::uint32_t kZeroSlot = ~std::uint32_t{0};
+
   DomainId dom = kDomInvalid;
   hw::Pfn first_frame = 0;
   std::size_t frame_count = 0;
   hw::Cycles taken_at = 0;
-  std::vector<std::uint8_t> image;  // frame_count * 4K bytes
+  // Per frame: the page index of its bytes in `image`, or kZeroSlot.
+  std::vector<std::uint32_t> slots;
+  std::vector<std::uint8_t> image;  // the stored frames, 4K bytes each
   std::vector<VcpuContext> vcpus;
 
-  std::size_t bytes() const { return image.size(); }
+  /// Size of the simulated image (every frame, stored or zero).
+  std::size_t bytes() const { return frame_count * hw::kPageSize; }
+  /// Frames that carry bytes on the host.
+  std::size_t stored_frames() const { return image.size() / hw::kPageSize; }
 };
 
 class Checkpointer {

@@ -19,9 +19,7 @@ void send_frame(hw::Cpu& scpu, hw::Machine& src_m, hw::Machine& dst_m,
                 hw::Pfn src_pfn, hw::Pfn dst_pfn, hw::Cycles wire_per_page) {
   scpu.charge(hw::costs::kPageCopy + pv::costs::kGrantMapPerPage / 2);
   scpu.charge(wire_per_page);
-  std::vector<std::uint8_t> buf(hw::kPageSize);
-  src_m.memory().read_bytes(hw::addr_of(src_pfn), buf);
-  dst_m.memory().write_bytes(hw::addr_of(dst_pfn), buf);
+  dst_m.memory().copy_frame_from(src_m.memory(), src_pfn, dst_pfn);
 }
 
 }  // namespace

@@ -189,6 +189,76 @@ TEST(CheckpointRestore, RestoredImageMatchesLiveTwin) {
   ASSERT_TRUE(b.settle(ExecMode::kNative));
 }
 
+// --- sparse images: only resident frames carry bytes on the host ---
+
+TEST(CheckpointRestore, SnapshotStoresOnlyResidentFrames) {
+  TwinRig rig(test_seed(0xC4E50005ull));
+  ASSERT_TRUE(rig.settle(ExecMode::kPartialVirtual));
+  vmm::Hypervisor& hv = rig.m.hypervisor();
+  const vmm::Snapshot snap = vmm::Checkpointer::take(
+      rig.machine.cpu(0), hv, rig.m.driver_vo().dom());
+
+  std::size_t resident = 0;
+  for (std::size_t i = 0; i < snap.frame_count; ++i) {
+    const bool live = !rig.machine.memory()
+                           .frame_view(snap.first_frame + static_cast<hw::Pfn>(i))
+                           .empty();
+    resident += live ? 1 : 0;
+    EXPECT_EQ(snap.slots[i] != vmm::Snapshot::kZeroSlot, live) << "frame " << i;
+  }
+  EXPECT_EQ(snap.stored_frames(), resident);
+  EXPECT_GT(resident, 0u);
+  EXPECT_LT(resident, snap.frame_count);
+  // The simulated image is still the whole domain.
+  EXPECT_EQ(snap.bytes(), snap.frame_count * hw::kPageSize);
+  EXPECT_TRUE(vmm::Checkpointer::matches(hv, snap));
+}
+
+/// First domain frame the snapshot holds as a zero slot (never materialized).
+hw::Pfn first_zero_frame(const vmm::Snapshot& snap) {
+  for (std::size_t i = 0; i < snap.frame_count; ++i)
+    if (snap.slots[i] == vmm::Snapshot::kZeroSlot)
+      return snap.first_frame + static_cast<hw::Pfn>(i);
+  ADD_FAILURE() << "snapshot has no zero frame";
+  return snap.first_frame;
+}
+
+TEST(CheckpointRestore, MatchesCatchesOneByteInAFrameThatWasZero) {
+  TwinRig rig(test_seed(0xC4E50006ull));
+  ASSERT_TRUE(rig.settle(ExecMode::kPartialVirtual));
+  vmm::Hypervisor& hv = rig.m.hypervisor();
+  const vmm::Snapshot snap = vmm::Checkpointer::take(
+      rig.machine.cpu(0), hv, rig.m.driver_vo().dom());
+  const hw::Pfn pfn = first_zero_frame(snap);
+  ASSERT_TRUE(vmm::Checkpointer::matches(hv, snap));
+  rig.machine.memory().write_u8(hw::addr_of(pfn) + hw::kPageSize - 1, 1);
+  EXPECT_FALSE(vmm::Checkpointer::matches(hv, snap));
+  rig.machine.memory().write_u8(hw::addr_of(pfn) + hw::kPageSize - 1, 0);
+  // Back to zero bytes, though now backed: still the captured image.
+  EXPECT_TRUE(vmm::Checkpointer::matches(hv, snap));
+}
+
+TEST(CheckpointRestore, RestoreRezeroesWithoutMaterializingZeroFrames) {
+  TwinRig rig(test_seed(0xC4E50007ull));
+  ASSERT_TRUE(rig.settle(ExecMode::kPartialVirtual));
+  hw::Cpu& cpu = rig.machine.cpu(0);
+  vmm::Hypervisor& hv = rig.m.hypervisor();
+  hw::PhysicalMemory& mem = rig.machine.memory();
+  const std::size_t chunks_at_capture = mem.resident_chunks();
+  const vmm::Snapshot snap =
+      vmm::Checkpointer::take(cpu, hv, rig.m.driver_vo().dom());
+  EXPECT_EQ(mem.resident_chunks(), chunks_at_capture);  // capture only reads
+
+  const hw::Pfn pfn = first_zero_frame(snap);
+  mem.write_u64(hw::addr_of(pfn) + 512, 0xFEEDFACECAFEBEEFull);
+  ASSERT_EQ(mem.resident_chunks(), chunks_at_capture + 1);
+  vmm::Checkpointer::restore(cpu, hv, snap);
+  EXPECT_EQ(mem.read_u64(hw::addr_of(pfn) + 512), 0u);
+  EXPECT_TRUE(vmm::Checkpointer::matches(hv, snap));
+  EXPECT_EQ(mem.resident_chunks(), chunks_at_capture + 1)
+      << "restore materialized frames the image holds as zero";
+}
+
 /// Disarm on scope exit so a failed row cannot leak its plan into the next
 /// test (same contract as the fault-matrix sweeps).
 struct DisarmGuard {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "hw/frame_alloc.hpp"
 #include "hw/phys_mem.hpp"
@@ -57,6 +59,62 @@ TEST(PhysicalMemory, CopyFromUnmaterializedZeroes) {
   mem.write_u32(addr_of(9), 7);
   mem.copy_frame(9, 200);  // src never written
   EXPECT_EQ(mem.read_u32(addr_of(9)), 0u);
+}
+
+struct RecordingSink : DirtySink {
+  std::vector<Pfn> noted;
+  void note_dirty(Pfn pfn) override { noted.push_back(pfn); }
+};
+
+TEST(PhysicalMemory, FrameViewIsEmptyUntilMaterialized) {
+  PhysicalMemory mem(256);
+  EXPECT_TRUE(mem.frame_view(70).empty());
+  mem.write_u32(addr_of(70) + 12, 0xC0FFEE);
+  const auto view = mem.frame_view(70);
+  ASSERT_EQ(view.size(), kPageSize);
+  std::uint32_t v = 0;
+  std::memcpy(&v, view.data() + 12, sizeof(v));
+  EXPECT_EQ(v, 0xC0FFEEu);
+  EXPECT_EQ(mem.frame_view(71).size(), kPageSize);  // same chunk: zero bytes
+  EXPECT_TRUE(mem.frame_view(200).empty());
+}
+
+TEST(PhysicalMemory, CopyFromNonResidentSourceNotesButDoesNotMaterialize) {
+  PhysicalMemory src(256), dst(256);
+  RecordingSink sink;
+  dst.set_dirty_sink(&sink);
+  dst.copy_frame_from(src, 5, 130);
+  EXPECT_EQ(dst.resident_chunks(), 0u);
+  EXPECT_EQ(sink.noted, std::vector<Pfn>{130});
+  EXPECT_EQ(src.resident_chunks(), 0u);
+  dst.set_dirty_sink(nullptr);
+}
+
+TEST(PhysicalMemory, CopyFromNonResidentSourceZeroesResidentDestination) {
+  PhysicalMemory src(256), dst(256);
+  dst.write_u64(addr_of(9) + 64, 0x1122334455667788ull);
+  dst.write_u32(addr_of(10), 3);  // neighbour in the same chunk
+  dst.copy_frame_from(src, 200, 9);
+  EXPECT_EQ(dst.read_u64(addr_of(9) + 64), 0u);
+  EXPECT_EQ(dst.read_u32(addr_of(10)), 3u);
+  EXPECT_EQ(dst.resident_chunks(), 1u);
+  EXPECT_EQ(src.resident_chunks(), 0u);
+}
+
+TEST(PhysicalMemory, CopyFromResidentSourceCopiesBytes) {
+  PhysicalMemory src(256), dst(512);
+  for (std::uint32_t off = 0; off < kPageSize; off += 4)
+    src.write_u32(addr_of(17) + off, off * 2654435761u);
+  RecordingSink sink;
+  dst.set_dirty_sink(&sink);
+  dst.copy_frame_from(src, 17, 300);
+  dst.set_dirty_sink(nullptr);
+  EXPECT_EQ(sink.noted, std::vector<Pfn>{300});
+  std::vector<std::uint8_t> want(kPageSize), got(kPageSize);
+  src.read_bytes(addr_of(17), want);
+  dst.read_bytes(addr_of(300), got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(dst.resident_chunks(), 1u);
 }
 
 TEST(PhysicalMemory, OutOfRangeIsInvariantError) {

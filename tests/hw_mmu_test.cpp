@@ -4,6 +4,8 @@
 
 #include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "hw/cpu.hpp"
 #include "hw/mmu.hpp"
@@ -114,6 +116,129 @@ TEST(TlbTest, ReinsertSameVpnUpdatesInPlace) {
   EXPECT_EQ(hit->pfn, 2u);
   EXPECT_EQ(tlb.valid_entries(), 1u);
 }
+
+/// The linear-scan FIFO TLB the indexed hw::Tlb must reproduce exactly:
+/// same victims, same in-place re-insert, same flush semantics, same counters.
+class ScanTlb {
+ public:
+  explicit ScanTlb(std::size_t capacity) : entries_(capacity) {}
+
+  std::optional<TlbEntry> lookup(std::uint32_t vpn) {
+    for (const auto& e : entries_) {
+      if (e.valid && e.vpn == vpn) {
+        ++hits;
+        return e;
+      }
+    }
+    ++misses;
+    return std::nullopt;
+  }
+  void insert(std::uint32_t vpn, const Pte& pte) {
+    const TlbEntry fresh{vpn,          pte.pfn(),      pte.writable(), pte.user(),
+                         pte.global(), pte.vmm_only(), pte.dirty(),    true};
+    for (auto& e : entries_) {
+      if (e.valid && e.vpn == vpn) {
+        e = fresh;
+        return;
+      }
+    }
+    entries_[next_victim_] = fresh;
+    next_victim_ = (next_victim_ + 1) % entries_.size();
+  }
+  void flush_all() {
+    ++flushes;
+    for (auto& e : entries_)
+      if (!e.global) e.valid = false;
+  }
+  void flush_global() {
+    ++flushes;
+    for (auto& e : entries_) e.valid = false;
+  }
+  void flush_page(std::uint32_t vpn) {
+    for (auto& e : entries_)
+      if (e.valid && e.vpn == vpn) e.valid = false;
+  }
+  std::size_t valid_entries() const {
+    std::size_t n = 0;
+    for (const auto& e : entries_) n += e.valid ? 1 : 0;
+    return n;
+  }
+
+  std::uint64_t hits = 0, misses = 0, flushes = 0;
+
+ private:
+  std::vector<TlbEntry> entries_;
+  std::size_t next_victim_ = 0;
+};
+
+void expect_same_entry(const std::optional<TlbEntry>& got,
+                       const std::optional<TlbEntry>& want,
+                       const std::string& ctx) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << ctx;
+  if (!got) return;
+  EXPECT_EQ(got->vpn, want->vpn) << ctx;
+  EXPECT_EQ(got->pfn, want->pfn) << ctx;
+  EXPECT_EQ(got->writable, want->writable) << ctx;
+  EXPECT_EQ(got->user, want->user) << ctx;
+  EXPECT_EQ(got->global, want->global) << ctx;
+  EXPECT_EQ(got->vmm_only, want->vmm_only) << ctx;
+  EXPECT_EQ(got->dirty, want->dirty) << ctx;
+  EXPECT_TRUE(got->valid) << ctx;
+}
+
+class TlbDifferentialTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TlbDifferentialTest, IndexedTlbMatchesLinearScanFifo) {
+  const std::size_t cap = GetParam();
+  util::Rng rng(0x71B0000ull + cap);
+  Tlb tlb(cap);
+  ScanTlb ref(cap);
+  // Mostly a working set a few times the capacity (hits, re-inserts and
+  // evictions all common), plus scattered vpns across the 20-bit space.
+  const std::uint64_t hot = 3 * cap + 5;
+  auto draw_vpn = [&] {
+    return static_cast<std::uint32_t>(rng.chance(0.9) ? rng.below(hot)
+                                                      : rng.below(1u << 20));
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const std::string ctx =
+        "capacity " + std::to_string(cap) + " step " + std::to_string(step);
+    const std::uint64_t op = rng.below(100);
+    if (op < 40) {
+      const std::uint32_t vpn = draw_vpn();
+      Pte pte = make_pte(static_cast<Pfn>(rng.below(1u << 20)), rng.chance(0.5),
+                         rng.chance(0.5), rng.chance(0.2));
+      pte.set_flag(Pte::kVmmOnly, rng.chance(0.1));
+      pte.set_flag(Pte::kDirty, rng.chance(0.3));
+      tlb.insert(vpn, pte);
+      ref.insert(vpn, pte);
+    } else if (op < 85) {
+      const std::uint32_t vpn = draw_vpn();
+      expect_same_entry(tlb.lookup(vpn), ref.lookup(vpn), ctx);
+    } else if (op < 96) {
+      const std::uint32_t vpn = draw_vpn();
+      tlb.flush_page(vpn);
+      ref.flush_page(vpn);
+    } else if (op < 99) {
+      tlb.flush_all();
+      ref.flush_all();
+    } else {
+      tlb.flush_global();
+      ref.flush_global();
+    }
+    ASSERT_EQ(tlb.hits(), ref.hits) << ctx;
+    ASSERT_EQ(tlb.misses(), ref.misses) << ctx;
+    ASSERT_EQ(tlb.flushes(), ref.flushes) << ctx;
+    ASSERT_EQ(tlb.valid_entries(), ref.valid_entries()) << ctx;
+    if (HasFailure()) return;
+  }
+  // Every cached vpn must still be reachable through the index.
+  for (std::uint32_t vpn = 0; vpn < hot; ++vpn)
+    expect_same_entry(tlb.lookup(vpn), ref.lookup(vpn), "final sweep");
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, TlbDifferentialTest,
+                         ::testing::Values(1, 2, 63, 64, 256));
 
 TEST_F(MmuTest, TranslateSimpleMapping) {
   map_l1(0, 2);
