@@ -57,6 +57,14 @@ run_label() {
   ctest --test-dir "$dir" -L "$label" "${CTEST_FLAGS[@]}"
 }
 
+# tier1 and tier2 run their test processes in parallel, as a plain
+# `ctest -j` does, so a cross-process collision (shared postmortem slots,
+# temp files) fails here too. The soak stays serial.
+run_label_parallel() {
+  local dir="$1" label="$2"
+  ctest --test-dir "$dir" -L "$label" -j "$JOBS" "${CTEST_FLAGS[@]}"
+}
+
 run_sanitizer() {
   local kind="$1"  # address | undefined | thread
   local dir="build-${kind}"
@@ -100,7 +108,7 @@ check_cycle_identity() {
 run_obsoff() {
   configure_and_build build
   configure_and_build build-obsoff -DMERCURY_OBS=OFF
-  run_label build-obsoff tier1
+  run_label_parallel build-obsoff tier1
   echo "run_tiers: obsoff OK — cycle identity holds:"
   # The switch path, and the dependability services (checkpoint/restore/
   # migrate carry MERC_PAUSE/MERC_FLIGHT hooks that must stay weightless).
@@ -180,13 +188,14 @@ mode="${1:-tier1}"
 case "$mode" in
   tier1)
     configure_and_build build
-    run_label build tier1
+    run_label_parallel build tier1
     ;;
   tier2)
-    # -L is a regex: the chaos soak (label "soak") rides along with the
-    # dependability sweeps.
+    # The chaos soak (label "soak") rides along with the dependability
+    # sweeps, after them and serially.
     configure_and_build build
-    run_label build "tier2|soak"
+    run_label_parallel build tier2
+    run_label build soak
     ;;
   soak)
     run_soak
@@ -211,8 +220,9 @@ case "$mode" in
     ;;
   all)
     configure_and_build build
-    run_label build tier1
-    run_label build "tier2|soak"
+    run_label_parallel build tier1
+    run_label_parallel build tier2
+    run_label build soak
     run_obsoff
     run_sanitizer address
     run_sanitizer undefined

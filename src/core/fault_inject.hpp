@@ -40,15 +40,16 @@ enum class FaultSite : std::uint8_t {
   kTransferBindings,  // trap/descriptor-table rebinding (both)
   kReleaseUnprotect,  // PT writability restore, per frame (detach)
   kReloadHwState,     // per-CPU control-state reload (both)
-  // Worker-side sites: the same bulk loops as above, but executed on a
-  // rendezvous-parked crew CPU as a shard of the parallel switch pipeline.
-  // A fire here aborts the shard mid-flight on the *worker*; the crew joins
-  // and the control processor's rollback must still converge.
-  kShardRebuild,      // crew shard of the page-info rebuild (attach)
-  kShardProtect,      // crew shard of type-and-protect (attach)
-  kShardUnprotect,    // crew shard of the writability restore (detach)
+  // Helper sites: the same bulk loops as the rebuild/protect/unprotect
+  // sites above, which name the loop when the control processor runs it;
+  // these name a shard a rendezvous-parked crew helper runs. A fire here
+  // aborts the shard mid-flight on the *helper*; the crew joins and the
+  // control processor's rollback must still converge.
+  kShardRebuild,      // helper shard of the page-info rebuild (attach)
+  kShardProtect,      // helper shard of type-and-protect (attach)
+  kShardUnprotect,    // helper shard of the writability restore (detach)
   kDirtyRebuild,      // warm re-attach dirty-set rebuild, per frame (attach;
-                      // fires on the serial path and inside crew shards)
+                      // the same site on every CPU)
   // Service sites: the dependability arcs (checkpoint/restart, live
   // migration) that run while the VMM is attached. A fire here aborts the
   // service step; the supervising arc retries, rolls back, or quarantines.
@@ -107,8 +108,8 @@ struct FaultPlan {
 };
 
 /// Thrown at a site when the armed plan fires. Carries the id of the CPU
-/// that was executing the faulted step (the control processor on the serial
-/// path, a crew worker inside a shard) so rollback postmortems can name it.
+/// that was executing the faulted step (the control processor, or the crew
+/// helper running a shard) so rollback postmortems can name it.
 struct FaultInjected {
   FaultSite site;
   FaultKind kind;

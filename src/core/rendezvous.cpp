@@ -187,23 +187,4 @@ RendezvousStats Rendezvous::release() {
   return stats_;
 }
 
-RendezvousStats Rendezvous::run(hw::Machine& machine, hw::Cpu& cp,
-                                RendezvousProtocol protocol) {
-  Rendezvous rv(machine, cp, protocol);
-  switch (protocol) {
-    case RendezvousProtocol::kIpiSharedVar: {
-      MERC_SPAN(cp, kRendezvous, "rendezvous.ipi_shared_var");
-      rv.park();
-      return rv.release();
-    }
-    case RendezvousProtocol::kTree: {
-      MERC_SPAN(cp, kRendezvous, "rendezvous.tree");
-      rv.park();
-      return rv.release();
-    }
-  }
-  MERC_CHECK(false);
-  return {};
-}
-
 }  // namespace mercury::core

@@ -36,6 +36,7 @@ SwitchCrew::SwitchCrew(hw::Machine& machine, hw::Cpu& cp, std::size_t workers)
 }
 
 void SwitchCrew::join() {
+  if (workers() == 0) return;  // nobody to wait for, nothing to hand off
   hw::Cycles maxt = 0;
   for (hw::Cpu* m : members_) maxt = std::max(maxt, m->now());
   maxt += kJoinHandshake;
@@ -52,12 +53,17 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
 
   // CP publishes the work descriptor; parked members cannot start before
   // the publish store reaches them (they were spinning, so advancing their
-  // clocks to the publish point costs nothing real).
-  cp.charge(kShardPublish);
-  for (hw::Cpu* m : members_) m->advance_to(cp.now());
+  // clocks to the publish point costs nothing real). A crew with no helpers
+  // has no queue: the CP runs the whole phase as one shard, free of the
+  // publish/grab/join atoms, so its cycles are exactly the work's.
+  const bool helpers = workers() > 0;
+  if (helpers) {
+    cp.charge(kShardPublish);
+    for (hw::Cpu* m : members_) m->advance_to(cp.now());
+  }
 
   const std::size_t nshards =
-      std::min(items, members_.size() * kShardsPerMember);
+      helpers ? std::min(items, members_.size() * kShardsPerMember) : 1;
   MERC_FLIGHT(cp, kCrewPublish, name, items, nshards, members_.size());
   const std::size_t per = items / nshards;
   const std::size_t extra = items % nshards;
@@ -85,7 +91,7 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
     for (std::size_t m = 1; m < members_.size(); ++m)
       if (members_[m]->now() < members_[who]->now()) who = m;
     hw::Cpu& worker = *members_[who];
-    worker.charge(kShardGrab);
+    if (helpers) worker.charge(kShardGrab);
     const hw::Cycles t0 = worker.now();
     try {
       body(worker, begin, end);

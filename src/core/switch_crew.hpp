@@ -37,7 +37,8 @@ struct CrewPhaseStats {
 class SwitchCrew {
  public:
   /// The control processor plus up to `workers` rendezvous-parked helpers
-  /// (clamped to the machine's other CPUs, in CPU-id order).
+  /// (clamped to the machine's other CPUs, in CPU-id order). With no
+  /// helpers the CP is a crew of one: the serial pipeline.
   SwitchCrew(hw::Machine& machine, hw::Cpu& cp, std::size_t workers);
 
   /// Crew size including the control processor.
@@ -53,7 +54,9 @@ class SwitchCrew {
   /// every member's clock sits at the phase end. `name` keys the per-shard
   /// and per-worker telemetry histograms ("<name>.shard_cycles",
   /// "<name>.worker_cycles", "<name>.phase_cycles"). Rethrows a worker's
-  /// FaultInjected after the join.
+  /// FaultInjected after the join. A crew with no helpers runs the phase
+  /// as one shard on the control processor and charges no queue atoms; its
+  /// telemetry has the same shape as any crew's.
   CrewPhaseStats run_phase(const char* name, std::size_t items,
                            const ShardFn& body);
 
@@ -63,7 +66,8 @@ class SwitchCrew {
   double utilization() const;
 
  private:
-  /// Align every member to the crew max plus the join handshake.
+  /// Align every member to the crew max plus the join handshake (a no-op
+  /// without helpers).
   void join();
 
   hw::Machine& machine_;

@@ -17,6 +17,18 @@
 
 namespace mercury::core {
 
+namespace {
+
+/// Fault sites are named by the CPU that runs the shard: the control
+/// processor reports the adopt/release site, a crew helper the shard site.
+vmm::HvFaultPoint shard_site(const hw::Cpu& worker, const hw::Cpu& cp,
+                             vmm::HvFaultPoint on_cp,
+                             vmm::HvFaultPoint on_helper) {
+  return &worker == &cp ? on_cp : on_helper;
+}
+
+}  // namespace
+
 const char* exec_mode_name(ExecMode m) {
   switch (m) {
     case ExecMode::kNative: return "native";
@@ -53,8 +65,7 @@ SwitchEngine::SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv,
       });
   // The hypervisor links below core/ and cannot name the fault injector;
   // bridge its probe points to the engine's injection sites. The hypervisor
-  // reports the CPU executing the probed loop — the control processor on the
-  // serial path, a crew worker inside a shard — so injected latency charges
+  // reports the CPU executing the probed loop, so injected latency charges
   // the clock that was actually running.
   hv_.set_fault_probe([this](vmm::HvFaultPoint p, hw::Cpu* cpu) {
     if (cpu == nullptr) cpu = &kernel_.machine().cpu(0);
@@ -302,58 +313,37 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
   bool committed = true;
   hw::Cycles rendezvous_cycles = 0;
   try {
-    if (config_.crew_workers == 0) {
-      // Legacy serial pipeline: §5.4 barrier completes, then the CP does all
-      // the state transfer alone while the other CPUs idle at the barrier
-      // exit. Kept cycle-identical for the serial-vs-crew ablation.
-      const RendezvousStats rv =
-          Rendezvous::run(kernel_.machine(), cpu, config_.rendezvous);
-      stats_.last_rendezvous_cycles = rv.latency();
-      rendezvous_cycles = rv.latency();
-      stats_.last_max_pause_cycles = rv.max_pause_cycles;
-
+    // §5.4: park every CPU at the barrier, recruit the parked cores as a
+    // shard crew for the bulk phases (the CP alone when crew_workers is 0),
+    // release only when the transfer is done.
+    Rendezvous rv(kernel_.machine(), cpu, config_.rendezvous);
+    SwitchCrew crew(kernel_.machine(), cpu, config_.crew_workers);
+    try {
+      rv.park();
+      // Shard dispatch must not begin before the §5.1.1 commit point: the
+      // crew mutates state that a live VO reference could be touching.
+      MERC_CHECK_MSG(current_vo().active_refs() == 0,
+                     "crew dispatch before the VO refcount-zero commit point");
       // Transitions through intermediate modes: native <-> partial <-> full.
       if (mode_ == ExecMode::kNative) {
-        attach(cpu, target);
+        attach(cpu, crew, target);
       } else if (target == ExecMode::kNative) {
-        detach(cpu);
+        detach(cpu, crew);
       } else {
         rerole(cpu, target);
       }
-    } else {
-      // Parallel switch pipeline: park every CPU at the barrier, recruit the
-      // parked cores as a shard work crew for the bulk phases, release only
-      // when the transfer is done.
-      Rendezvous rv(kernel_.machine(), cpu, config_.rendezvous);
-      SwitchCrew crew(kernel_.machine(), cpu, config_.crew_workers);
-      try {
-        rv.park();
-        // Shard dispatch must not begin before the §5.1.1 commit point: the
-        // crew mutates state that a live VO reference could be touching.
-        MERC_CHECK_MSG(current_vo().active_refs() == 0,
-                       "crew dispatch before the VO refcount-zero commit "
-                       "point");
-        if (mode_ == ExecMode::kNative) {
-          attach_with_crew(cpu, crew, target);
-        } else if (target == ExecMode::kNative) {
-          detach_with_crew(cpu, crew);
-        } else {
-          rerole(cpu, target);
-        }
-      } catch (...) {
-        // The barrier must never stay held: release the parked CPUs before
-        // the fault unwinds into the rollback (which runs serially on the
-        // CP, exactly like a serial-path rollback).
-        if (rv.parked()) rv.release();
-        throw;
-      }
-      const RendezvousStats rvs = rv.release();
-      stats_.last_rendezvous_cycles = rv.coordination_cycles();
-      rendezvous_cycles = rv.coordination_cycles();
-      stats_.last_max_pause_cycles = rvs.max_pause_cycles;
-      MERC_GAUGE_SET("switch.crew.workers", crew.workers());
-      MERC_GAUGE_SET("switch.crew.utilization", crew.utilization());
+    } catch (...) {
+      // The barrier must never stay held: release the parked CPUs before
+      // the fault unwinds into the rollback (which runs on the CP alone).
+      if (rv.parked()) rv.release();
+      throw;
     }
+    const RendezvousStats rvs = rv.release();
+    stats_.last_rendezvous_cycles = rv.coordination_cycles();
+    rendezvous_cycles = rv.coordination_cycles();
+    stats_.last_max_pause_cycles = rvs.max_pause_cycles;
+    MERC_GAUGE_SET("switch.crew.workers", crew.workers());
+    MERC_GAUGE_SET("switch.crew.utilization", crew.utilization());
   } catch (const FaultInjected& fault) {
     // A fault fired at one of the pre-commit injection sites: unwind the
     // partial transition instead of crashing mid-switch (paper §8), then
@@ -459,9 +449,9 @@ void SwitchEngine::observe_slo(hw::Cpu& cpu, bool attach, hw::Cycles total,
                tr.page_info_cycles + tr.protection_cycles + tr.binding_cycles,
                cpu.id(), cpu.now());
   slo_.observe("switch.fixup_cycles", tr.fixup_cycles, cpu.id(), cpu.now());
-  // The per-CPU unavailability budget: the serial path measures the whole
-  // park-to-release window, the crew path the same window including shard
-  // work. Breach evidence lands in the flight ring like every other phase.
+  // The per-CPU unavailability budget: the whole park-to-release window,
+  // shard work included. Breach evidence lands in the flight ring like
+  // every other phase.
   slo_.observe("switch.max_pause_cycles", stats_.last_max_pause_cycles,
                cpu.id(), cpu.now());
 }
@@ -621,54 +611,7 @@ void SwitchEngine::set_warm_reattach(bool on) {
   if (!on && dirty_tracker_) dirty_tracker_->disarm();
 }
 
-void SwitchEngine::attach(hw::Cpu& cpu, ExecMode target) {
-  VirtualVo& vo =
-      target == ExecMode::kPartialVirtual ? driver_vo_ : guest_vo_;
-  const std::optional<WarmSet> warm = warm_dirty_set();
-  if (warm) note_warm_attach(cpu, warm->rebuild.size());
-  stats_.last_transfer =
-      transfer_to_virtual(cpu, kernel_, hv_, vo, config_.eager_page_tracking,
-                          config_.eager_selector_fixup,
-                          warm ? &*warm : nullptr);
-  if (target == ExecMode::kFullVirtual) {
-    hv_.blk_backend().connect_frontend(vo.dom());
-    hv_.net_backend().connect_frontend(vo.dom());
-  }
-  MERC_SPAN(cpu, kSwitch, "switch.reload_hw_state");
-  reload_all_cpus(vo);
-  kernel_.set_ops(vo);
-  mode_ = target;
-  // The attach succeeded (warm or cold): the table is fresh, the tracked
-  // window is consumed. A fault above unwinds past this point, leaving the
-  // tracker armed so a supervised retry can still go warm.
-  if (dirty_tracker_) dirty_tracker_->disarm();
-}
-
-void SwitchEngine::detach(hw::Cpu& cpu) {
-  VirtualVo& vo =
-      mode_ == ExecMode::kPartialVirtual ? driver_vo_ : guest_vo_;
-  if (mode_ == ExecMode::kFullVirtual) {
-    hv_.blk_backend().disconnect_frontend(cpu);
-    hv_.net_backend().disconnect_frontend();
-  }
-  const bool retain = warm_retention_enabled();
-  if (retain) begin_warm_retention();
-  stats_.last_transfer = transfer_to_native(cpu, kernel_, hv_, vo,
-                                            config_.eager_selector_fixup,
-                                            retain);
-  if (config_.eager_page_tracking) {
-    // The eager tracker keeps maintaining the table through native mode, so
-    // it stays authoritative across the detach (§5.1.2 alternative 1).
-    hv_.page_info().set_valid(true);
-  }
-  MERC_SPAN(cpu, kSwitch, "switch.reload_hw_state");
-  reload_all_cpus(native_vo_);
-  kernel_.set_ops(native_vo_);
-  mode_ = ExecMode::kNative;
-}
-
-void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
-                                    ExecMode target) {
+void SwitchEngine::attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target) {
   VirtualVo& vo = target == ExecMode::kPartialVirtual ? driver_vo_ : guest_vo_;
   TransferStats transfer;
   const std::optional<WarmSet> warm = warm_dirty_set();
@@ -680,10 +623,9 @@ void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
     const vmm::DomainId dom = hv_.begin_adopt(kernel_);
     if (warm) {
       // Warm re-attach, sharded: only the dirty set is reconstructed; the
-      // rest of the retained table carries over untouched. Shards stamp the
-      // rebuild epoch exactly like the serial warm path.
+      // rest of the retained table carries over untouched.
       MERC_CHECK_MSG(hv_.page_info().retained(),
-                     "warm crew attach without a retained page-info table");
+                     "warm attach without a retained page-info table");
       hv_.init_reserved_page_info();
       const std::span<const hw::Pfn> dirty(warm->rebuild);
       crew.run_phase("switch.crew.dirty_rebuild", dirty.size(),
@@ -700,7 +642,10 @@ void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
       const std::span<const hw::Pfn> all(frames);
       crew.run_phase("switch.crew.rebuild", frames.size(),
                      [&](hw::Cpu& w, std::size_t b, std::size_t e) {
-                       hv_.adopt_rebuild_shard(w, dom, all.subspan(b, e - b));
+                       hv_.adopt_rebuild_shard(
+                           w, dom, all.subspan(b, e - b),
+                           shard_site(w, cpu, vmm::HvFaultPoint::kAdoptRebuild,
+                                      vmm::HvFaultPoint::kShardRebuild));
                      });
       MERC_COUNT_N("vmm.page_info.frames_reconstructed", frames.size());
     } else {
@@ -716,9 +661,10 @@ void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
     // precede validation of *any* L1 ("no writable mapping of a PT frame"),
     // and all L1 typing must precede L2 validation — hence three phases
     // with crew joins between them, not one. On the warm path only
-    // content-dirty tables are revalidated (same rule as the serial warm
-    // adopt): an unwritten table still holds the entries verified before
-    // the detach.
+    // content-dirty tables are revalidated: an unwritten table still holds
+    // the entries verified before the detach (PTE writes while attached are
+    // trapped and checked inline), and any write — kernel PTE update, MMU
+    // A/D write-back, or tampering — lands a frame in the content set.
     const auto tables = hv_.collect_tables(kernel_);
     std::vector<std::pair<hw::Pfn, vmm::PageType>> l1s, l2s;
     for (const auto& t : tables) {
@@ -737,8 +683,10 @@ void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
     const std::span<const std::pair<hw::Pfn, vmm::PageType>> l2_span(l2s);
     crew.run_phase("switch.crew.protect", tables.size(),
                    [&](hw::Cpu& w, std::size_t b, std::size_t e) {
-                     hv_.adopt_protect_shard(w, dom, kernel_,
-                                             all_tables.subspan(b, e - b));
+                     hv_.adopt_protect_shard(
+                         w, dom, kernel_, all_tables.subspan(b, e - b),
+                         shard_site(w, cpu, vmm::HvFaultPoint::kAdoptProtect,
+                                    vmm::HvFaultPoint::kShardProtect));
                    });
     // The phase join is the batch boundary: one shootdown makes every
     // shard's flips globally effective before validation checks them.
@@ -796,11 +744,13 @@ void SwitchEngine::attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew,
   reload_all_cpus(vo);
   kernel_.set_ops(vo);
   mode_ = target;
-  // Success consumes the tracked window (see attach()).
+  // The attach succeeded (warm or cold): the table is fresh, the tracked
+  // window is consumed. A fault above unwinds past this point, leaving the
+  // tracker armed so a supervised retry can still go warm.
   if (dirty_tracker_) dirty_tracker_->disarm();
 }
 
-void SwitchEngine::detach_with_crew(hw::Cpu& cpu, SwitchCrew& crew) {
+void SwitchEngine::detach(hw::Cpu& cpu, SwitchCrew& crew) {
   VirtualVo& vo = mode_ == ExecMode::kPartialVirtual ? driver_vo_ : guest_vo_;
   if (mode_ == ExecMode::kFullVirtual) {
     hv_.blk_backend().disconnect_frontend(cpu);
@@ -823,8 +773,11 @@ void SwitchEngine::detach_with_crew(hw::Cpu& cpu, SwitchCrew& crew) {
     const std::span<const hw::Pfn> all(frames);
     crew.run_phase("switch.crew.unprotect", frames.size(),
                    [&](hw::Cpu& w, std::size_t b, std::size_t e) {
-                     hv_.release_unprotect_shard(w, kernel_,
-                                                 all.subspan(b, e - b));
+                     hv_.release_unprotect_shard(
+                         w, kernel_, all.subspan(b, e - b),
+                         shard_site(w, cpu,
+                                    vmm::HvFaultPoint::kReleaseUnprotect,
+                                    vmm::HvFaultPoint::kShardUnprotect));
                    });
     if (!frames.empty()) hv_.tlb_shootdown_all(cpu);
     hv_.finish_release(retain);

@@ -20,7 +20,6 @@
 #include "core/dirty_tracker.hpp"
 #include "core/native_vo.hpp"
 #include "core/rendezvous.hpp"
-#include "core/state_transfer.hpp"
 #include "core/virtual_vo.hpp"
 #include "kernel/kernel.hpp"
 #include "obs/metrics.hpp"
@@ -79,12 +78,12 @@ struct SwitchConfig {
   RendezvousProtocol rendezvous = RendezvousProtocol::kIpiSharedVar;
   double defer_retry_ms = 10.0;      // §5.1.1 timer interval
   bool validate_before_commit = false;  // failure-resistant switch (§8)
-  /// Parallel switch pipeline: number of rendezvous-parked CPUs recruited as
-  /// shard workers for the bulk switch phases (page-info rebuild,
-  /// type-and-protect, validation, eager fixup, release-time unprotect).
-  /// 0 selects the legacy serial path — cycle-identical to the pre-crew
-  /// engine, kept for the serial-vs-crew ablation. Clamped to the machine's
-  /// other CPUs; the control processor always works too.
+  /// Number of rendezvous-parked CPUs recruited as helpers for the bulk
+  /// switch phases (page-info rebuild, type-and-protect, validation, eager
+  /// fixup, release-time unprotect). Clamped to the machine's other CPUs;
+  /// the control processor always works too. 0 is the serial pipeline: a
+  /// crew of one on the same park -> crew -> release path, the serial side
+  /// of the serial-vs-crew ablation.
   std::size_t crew_workers = 0;
   /// Run the machine-state invariant checker after every commit attempt
   /// (committed or rolled back) and abort the simulation on a violation.
@@ -103,6 +102,18 @@ struct SwitchConfig {
   std::size_t warm_dirty_capacity = 0;
   /// Switch-SLO cycle budgets; breaches are flagged, never enforced.
   SwitchSloBudgets slo{};
+};
+
+/// Where one switch's state-transfer cycles went (paper §5.1.2). Three
+/// classes of state move between representations: page-table pages
+/// (writable <-> read-only + typed), kernel segment privilege in every
+/// suspended thread's saved frame, and interrupt bindings (kernel IDT <->
+/// hypervisor IDT with the kernel's table registered as the guest's).
+struct TransferStats {
+  hw::Cycles page_info_cycles = 0;   // owner/type/count rebuild
+  hw::Cycles protection_cycles = 0;  // PT writability flips + typing
+  hw::Cycles fixup_cycles = 0;       // eager selector fixups (if enabled)
+  hw::Cycles binding_cycles = 0;     // trap/descriptor table rebinding
 };
 
 /// Per-engine switch telemetry. This struct is the single storage for these
@@ -212,14 +223,12 @@ class SwitchEngine {
   /// Record the outcome and notify the completion hook (if installed).
   void resolve(ExecMode target, SwitchOutcome outcome);
   void register_obs_instruments();
-  void attach(hw::Cpu& cpu, ExecMode target);
-  void detach(hw::Cpu& cpu);
+  /// native -> virtual and back. The bulk phases run as shards across the
+  /// rendezvous-parked crew (the CP alone when it has no helpers).
+  void attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target);
+  void detach(hw::Cpu& cpu, SwitchCrew& crew);
   /// partial <-> full transition: re-role the virtual VO in place.
   void rerole(hw::Cpu& cpu, ExecMode target);
-  /// Crew variants of attach/detach: the bulk phases run as shards across
-  /// the rendezvous-parked crew instead of serially on the CP.
-  void attach_with_crew(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target);
-  void detach_with_crew(hw::Cpu& cpu, SwitchCrew& crew);
   bool validate_for_switch(hw::Cpu& cpu, ExecMode target);
   void reload_all_cpus(VirtObject& vo);
   /// Warm re-attach plumbing. `warm_retention_enabled` gates the detach

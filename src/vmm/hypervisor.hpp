@@ -53,17 +53,19 @@ struct HvStats {
 /// A probe may throw to abort the surrounding operation mid-flight — that
 /// is the point: the engine's rollback must unwind the partial mutation.
 enum class HvFaultPoint : std::uint8_t {
+  // The bulk loops, named by the CPU that runs them: these three when the
+  // control processor runs the loop (a crew-of-one switch, a CP shard of a
+  // crewed one, migration and the eager tracker's rebuild)...
   kAdoptRebuild,      // once per frame during the page-info rebuild
   kAdoptProtect,      // once per page-table frame during type-and-protect
   kReleaseUnprotect,  // once per frame during the writability restore
-  // Worker-side variants: the same loops, but executed as a shard of the
-  // parallel switch pipeline on a rendezvous-parked crew CPU. Distinct
-  // points so tests can target "a worker faulted mid-shard" specifically.
-  kShardRebuild,      // crew shard of the page-info rebuild
-  kShardProtect,      // crew shard of type-and-protect
-  kShardUnprotect,    // crew shard of the writability restore
+  // ...and these when a rendezvous-parked crew helper runs a shard of it.
+  // Distinct points so tests can target "a helper faulted mid-shard".
+  kShardRebuild,      // helper shard of the page-info rebuild
+  kShardProtect,      // helper shard of type-and-protect
+  kShardUnprotect,    // helper shard of the writability restore
   kDirtyRebuild,      // once per frame during a warm (dirty-set) rebuild,
-                      // serial and crew alike
+                      // on any CPU
   // Service-side points: the dependability services (checkpoint/restart,
   // live migration) that run against an attached hypervisor. Fired by
   // Checkpointer and LiveMigration (friends below) through the same probe,
@@ -114,30 +116,12 @@ class Hypervisor : public hw::TrapSink {
 
   // --- Mercury attach/detach support ---
   /// Build a (privileged, driver) domain around an already-running native
-  /// kernel. When `trust_page_info` is false the full owner/type/count
+  /// kernel in one pass on `cpu` (a detach rollback's re-adoption; a switch
+  /// runs the same pieces through its crew, see the sharded entry points
+  /// below). When `trust_page_info` is false the full owner/type/count
   /// rebuild runs (the paper's dominant switch cost); true corresponds to
   /// the eager-tracking variant that kept the table fresh.
   DomainId adopt_running_os(hw::Cpu& cpu, kernel::Kernel& k, bool trust_page_info);
-  /// Warm (incremental) adoption: the page-info table was retained across
-  /// the last detach, so only the frames in `dirty` — recorded by the
-  /// DirtyFrameTracker while native — are reconstructed; everything else is
-  /// carried over. The caller (switch engine) is responsible for deciding
-  /// eligibility (retention unpoisoned, tracker armed and not overflowed)
-  /// and for filtering both spans to the kernel-owned frame range. The
-  /// type-and-protect pass runs in full (enforcement must cover every
-  /// current table), but PTE revalidation is limited to tables in
-  /// `content_dirty` — frames whose bytes were written while detached. An
-  /// untouched table still holds exactly the entries validated before the
-  /// detach, so its scan is skipped; any tampering is a store, hence in the
-  /// set.
-  DomainId adopt_running_os_warm(hw::Cpu& cpu, kernel::Kernel& k,
-                                 std::span<const hw::Pfn> dirty,
-                                 std::span<const hw::Pfn> content_dirty);
-  /// Undo adoption: page tables become writable again, accounting is
-  /// dropped (O(1)), the hypervisor returns to dormancy. With
-  /// `retain_page_info` the table keeps its (now stale) contents and is
-  /// marked retained so a later warm adoption can rebuild incrementally.
-  void release_os(hw::Cpu& cpu, DomainId id, bool retain_page_info = false);
   /// Unwind a *partially applied* adoption after a mid-switch fault: restore
   /// writability of every frame protected so far, drop (or, for eager
   /// tracking, keep) the page accounting, return to dormancy, and hand the
@@ -150,8 +134,7 @@ class Hypervisor : public hw::TrapSink {
   void reprotect_os(hw::Cpu& cpu, DomainId id, kernel::Kernel& k);
   /// Install a fault probe called at the HvFaultPoint sites (tests; unset in
   /// production paths). The probe may throw. The second argument is the CPU
-  /// executing the probed loop — the control processor on the serial path, a
-  /// crew worker inside a shard — so injected latency charges the right clock.
+  /// executing the probed loop, so injected latency charges the right clock.
   void set_fault_probe(std::function<void(HvFaultPoint, hw::Cpu*)> probe) {
     fault_probe_ = std::move(probe);
   }
@@ -164,28 +147,26 @@ class Hypervisor : public hw::TrapSink {
   /// Initialize page accounting for a freshly built domain (boot path).
   void init_domain_memory(Domain& d);
 
-  // --- parallel switch pipeline (sharded adopt/release) ---
-  // The serial adopt/release entry points above are compositions of these
-  // range-based pieces; the switch engine calls them directly when it farms
-  // the bulk loops out to a SwitchCrew. Every shard charges the CPU actually
-  // executing it and reports the worker-side fault points, so a mid-shard
-  // fault surfaces on the worker and the engine's rollback must converge.
+  // --- switch pipeline (sharded adopt/release) ---
+  // Range-based pieces the switch engine farms out to a SwitchCrew. Every
+  // shard charges the CPU actually executing it and reports the fault point
+  // the caller names for that CPU, so a mid-shard fault surfaces on the
+  // worker and the engine's rollback must converge.
   /// State checks + stats + domain reuse/creation. No simulated cost.
   DomainId begin_adopt(kernel::Kernel& k);
   /// Reset the hypervisor's own reserved frames' accounting (CP-side, O(64MB
-  /// of frames), uncharged as in the serial path) and zero shard counters.
+  /// of frames), uncharged) and zero shard counters.
   void init_reserved_page_info();
   /// Rebuild owner/type/count for `frames`, charging `cpu` per frame.
   void adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
-                           std::span<const hw::Pfn> frames,
-                           HvFaultPoint site = HvFaultPoint::kShardRebuild);
+                           std::span<const hw::Pfn> frames, HvFaultPoint site);
   /// Warm-path variant: reconstruct owner/type/count for exactly the dirty
   /// `frames` against the retained table, charging `cpu` per frame. Frames
   /// inside the hypervisor's reserved region are re-canonicalized as
   /// hypervisor-owned (defense in depth; the engine filters them out).
+  /// Probes kDirtyRebuild per frame, on any CPU.
   void adopt_dirty_rebuild_shard(hw::Cpu& cpu, DomainId id,
-                                 std::span<const hw::Pfn> frames,
-                                 HvFaultPoint site = HvFaultPoint::kDirtyRebuild);
+                                 std::span<const hw::Pfn> frames);
   /// Eager-tracking cross-check sweep over `frames` frames (1 cycle each).
   void adopt_trusted_sweep_shard(hw::Cpu& cpu, std::size_t frames);
   /// Discover every page-table frame of `k` (uncharged discovery walk).
@@ -193,7 +174,7 @@ class Hypervisor : public hw::TrapSink {
   /// Type + pin + write-protect the given tables, charging `cpu`.
   void adopt_protect_shard(hw::Cpu& cpu, DomainId id, kernel::Kernel& k,
                            std::span<const std::pair<hw::Pfn, PageType>> tables,
-                           HvFaultPoint site = HvFaultPoint::kShardProtect);
+                           HvFaultPoint site);
   /// Validate the tables of `level` in the span (L1s must all be typed —
   /// i.e. every protect shard done — before any L2 shard validates).
   void adopt_validate_shard(hw::Cpu& cpu, DomainId id,
@@ -208,7 +189,7 @@ class Hypervisor : public hw::TrapSink {
   /// Restore writability of `frames`, charging `cpu` per frame.
   void release_unprotect_shard(hw::Cpu& cpu, kernel::Kernel& k,
                                std::span<const hw::Pfn> frames,
-                               HvFaultPoint site = HvFaultPoint::kShardUnprotect);
+                               HvFaultPoint site);
   /// Flip to kDormant: accounting dropped O(1). With `retain_page_info`
   /// the entry contents survive and the table is marked retained.
   void finish_release(bool retain_page_info = false);
@@ -217,11 +198,6 @@ class Hypervisor : public hw::TrapSink {
   PageInfoTable& page_info() { return page_info_; }
   void rebuild_page_info(hw::Cpu& cpu, Domain& d);
   void type_and_protect_tables(hw::Cpu& cpu, Domain& d, kernel::Kernel& k);
-  /// Warm variant: full protect pass, but validation only of tables whose
-  /// frame is in `content_dirty` (ascending).
-  void type_and_protect_tables_warm(hw::Cpu& cpu, Domain& d, kernel::Kernel& k,
-                                    std::span<const hw::Pfn> content_dirty);
-  void unprotect_tables(hw::Cpu& cpu, kernel::Kernel& k);
   /// Drop protection bookkeeping for frames leaving this machine (domain
   /// migrated away / destroyed): no flips, just forget.
   void forget_frame_range(hw::Pfn first, std::size_t count);

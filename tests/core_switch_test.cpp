@@ -382,7 +382,7 @@ TEST(SwitchEngine, AttachScalesWithMemoryDetachDoesNot) {
 }
 
 TEST(SwitchEngine, CrewAttachMatchesSerialStateAndIsFaster) {
-  // Parallel switch pipeline vs. the legacy serial path on the same machine
+  // Parallel switch pipeline vs. a crew of one (serial) on the same machine
   // shape: the final machine state must be identical frame-for-frame, and
   // the sharded bulk transfer must be at least 2x faster with 3 workers.
   // Compare the transfer-phase cycles, not last_attach_cycles: on an SMP
@@ -436,40 +436,74 @@ TEST(SwitchEngine, CrewAttachMatchesSerialStateAndIsFaster) {
   EXPECT_FALSE(m.hypervisor().active());
 }
 
-TEST(SwitchEngine, CrewWorkersZeroTakesTheSerialPathExactly) {
-  // crew_workers = 0 must select the legacy serial pipeline, cycle for
-  // cycle: identical machines, one defaulted and one explicit, land on the
-  // same clock after a full round trip.
-  MercuryBox a({}, /*mem_mb=*/128, /*cpus=*/2);
-  MercuryConfig cfg;
-  cfg.switch_config.crew_workers = 0;
-  MercuryBox b(cfg, /*mem_mb=*/128, /*cpus=*/2);
-  ASSERT_TRUE(a.mercury->switch_to(ExecMode::kPartialVirtual));
-  ASSERT_TRUE(b.mercury->switch_to(ExecMode::kPartialVirtual));
-  EXPECT_EQ(a.mercury->engine().stats().last_attach_cycles,
-            b.mercury->engine().stats().last_attach_cycles);
-  ASSERT_TRUE(a.mercury->switch_to(ExecMode::kNative));
-  ASSERT_TRUE(b.mercury->switch_to(ExecMode::kNative));
-  EXPECT_EQ(a.mercury->engine().stats().last_detach_cycles,
-            b.mercury->engine().stats().last_detach_cycles);
-  EXPECT_EQ(a.machine->cpu(0).now(), b.machine->cpu(0).now());
-  EXPECT_EQ(a.machine->cpu(1).now(), b.machine->cpu(1).now());
+TEST(SwitchEngine, CrewOfOneHoldsEveryCpuThroughTheTransfer) {
+  // crew_workers = 0 is a crew of one on the single park -> crew -> release
+  // pipeline: the control processor runs the whole transfer while the other
+  // CPU stays parked, then the barrier releases every clock together.
+  MercuryBox smp({}, /*mem_mb=*/128, /*cpus=*/2);
+  MercuryBox up({}, /*mem_mb=*/128, /*cpus=*/1);
+  std::vector<hw::Cycles> clocks_at_resolve;
+  smp.mercury->engine().set_completion_hook(
+      [&](ExecMode, core::SwitchOutcome) {
+        clocks_at_resolve.clear();
+        for (std::size_t i = 0; i < smp.machine->num_cpus(); ++i)
+          clocks_at_resolve.push_back(smp.machine->cpu(i).now());
+      });
+  const core::SwitchStats& st = smp.mercury->engine().stats();
+  const core::SwitchStats& up_st = up.mercury->engine().stats();
+  const auto expect_same_transfer = [](const core::TransferStats& a,
+                                       const core::TransferStats& b) {
+    EXPECT_EQ(a.page_info_cycles, b.page_info_cycles);
+    EXPECT_EQ(a.protection_cycles, b.protection_cycles);
+    EXPECT_EQ(a.fixup_cycles, b.fixup_cycles);
+    EXPECT_EQ(a.binding_cycles, b.binding_cycles);
+  };
+
+  ASSERT_TRUE(smp.mercury->switch_to(ExecMode::kPartialVirtual));
+  ASSERT_EQ(clocks_at_resolve.size(), 2u);
+  EXPECT_EQ(clocks_at_resolve[1], clocks_at_resolve[0])
+      << "the attach released the barrier with a CPU off the CP's clock";
+  EXPECT_GE(st.last_max_pause_cycles,
+            st.last_transfer.page_info_cycles +
+                st.last_transfer.binding_cycles)
+      << "the parked CPU must be held for the whole attach transfer";
+  ASSERT_TRUE(up.mercury->switch_to(ExecMode::kPartialVirtual));
+  expect_same_transfer(st.last_transfer, up_st.last_transfer);
+  {
+    // A crew of one pays no queue atoms: its page-info transfer costs
+    // exactly the hypervisor's one-pass adoption on an identical machine.
+    MercuryBox ref({}, /*mem_mb=*/128, /*cpus=*/1);
+    hw::Cpu& cpu = ref.machine->cpu(0);
+    const hw::Cycles t0 = cpu.now();
+    ref.mercury->hypervisor().adopt_running_os(cpu, ref.mercury->kernel(),
+                                               /*trust_page_info=*/false);
+    EXPECT_EQ(up_st.last_transfer.page_info_cycles, cpu.now() - t0);
+  }
+
+  ASSERT_TRUE(smp.mercury->switch_to(ExecMode::kNative));
+  ASSERT_EQ(clocks_at_resolve.size(), 2u);
+  EXPECT_EQ(clocks_at_resolve[1], clocks_at_resolve[0])
+      << "the detach released the barrier with a CPU off the CP's clock";
+  EXPECT_GE(st.last_max_pause_cycles,
+            st.last_transfer.protection_cycles +
+                st.last_transfer.binding_cycles)
+      << "the parked CPU must be held for the whole detach transfer";
+  ASSERT_TRUE(up.mercury->switch_to(ExecMode::kNative));
+  expect_same_transfer(st.last_transfer, up_st.last_transfer);
+  smp.mercury->engine().set_completion_hook(nullptr);
 
   // And the supervised retry machinery must be free on the happy path: the
-  // same round trip through a SwitchSupervisor (crew_workers = 0) lands on
-  // exactly the same clocks as the bare serial engine.
-  MercuryConfig sup_cfg;
-  sup_cfg.switch_config.crew_workers = 0;
-  MercuryBox c(sup_cfg, /*mem_mb=*/128, /*cpus=*/2);
-  core::SwitchSupervisor sup(c.mercury->engine());
+  // same round trip through a SwitchSupervisor lands on exactly the same
+  // clocks as the bare engine.
+  MercuryBox sup_box({}, /*mem_mb=*/128, /*cpus=*/2);
+  core::SwitchSupervisor sup(sup_box.mercury->engine());
   ASSERT_TRUE(sup.switch_now(ExecMode::kPartialVirtual));
   ASSERT_TRUE(sup.switch_now(ExecMode::kNative));
-  EXPECT_EQ(a.mercury->engine().stats().last_attach_cycles,
-            c.mercury->engine().stats().last_attach_cycles);
-  EXPECT_EQ(a.mercury->engine().stats().last_detach_cycles,
-            c.mercury->engine().stats().last_detach_cycles);
-  EXPECT_EQ(a.machine->cpu(0).now(), c.machine->cpu(0).now());
-  EXPECT_EQ(a.machine->cpu(1).now(), c.machine->cpu(1).now());
+  const core::SwitchStats& sup_st = sup_box.mercury->engine().stats();
+  EXPECT_EQ(st.last_attach_cycles, sup_st.last_attach_cycles);
+  EXPECT_EQ(st.last_detach_cycles, sup_st.last_detach_cycles);
+  EXPECT_EQ(smp.machine->cpu(0).now(), sup_box.machine->cpu(0).now());
+  EXPECT_EQ(smp.machine->cpu(1).now(), sup_box.machine->cpu(1).now());
 }
 
 TEST(SwitchEngine, CrewClampsToMachineSize) {

@@ -17,6 +17,7 @@ using core::Mercury;
 using core::MercuryConfig;
 using core::Rendezvous;
 using core::RendezvousProtocol;
+using core::RendezvousStats;
 using core::VirtObject;
 using kernel::Sub;
 using kernel::Sys;
@@ -157,12 +158,18 @@ TEST(EagerTracking, AttachIsCheaperButNativeOpsAreDearer) {
   EXPECT_LT(eager_attach, lazy_attach) << "eager attach skips the rebuild";
 }
 
+/// The classic §5.4 barrier: park every CPU, then release them at once.
+RendezvousStats park_and_release(hw::Machine& m, RendezvousProtocol p) {
+  Rendezvous rv(m, m.cpu(0), p);
+  rv.park();
+  return rv.release();
+}
+
 TEST(RendezvousTest, SingleCpuIsFree) {
   hw::MachineConfig mc;
   mc.mem_kb = 8 * 1024;
   hw::Machine m(mc);
-  const auto stats =
-      Rendezvous::run(m, m.cpu(0), RendezvousProtocol::kIpiSharedVar);
+  const auto stats = park_and_release(m, RendezvousProtocol::kIpiSharedVar);
   EXPECT_EQ(stats.latency(), 0u);
 }
 
@@ -173,8 +180,7 @@ TEST(RendezvousTest, AlignsAllCpuClocks) {
   hw::Machine m(mc);
   m.cpu(1).charge(5000);
   m.cpu(3).charge(12000);
-  const auto stats =
-      Rendezvous::run(m, m.cpu(0), RendezvousProtocol::kIpiSharedVar);
+  const auto stats = park_and_release(m, RendezvousProtocol::kIpiSharedVar);
   EXPECT_EQ(m.cpu(0).now(), m.cpu(1).now());
   EXPECT_EQ(m.cpu(1).now(), m.cpu(2).now());
   EXPECT_EQ(m.cpu(2).now(), m.cpu(3).now());
@@ -187,7 +193,7 @@ TEST(RendezvousTest, SharedVarScalesWorseThanTreeAtHighCounts) {
     mc.num_cpus = cpus;
     mc.mem_kb = 8 * 1024;
     hw::Machine m(mc);
-    return Rendezvous::run(m, m.cpu(0), p).latency();
+    return park_and_release(m, p).latency();
   };
   // The paper prefers IPI+shared-var on its 2-way box...
   EXPECT_LE(latency(2, RendezvousProtocol::kIpiSharedVar),

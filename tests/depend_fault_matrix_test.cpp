@@ -24,6 +24,7 @@
 #include "core/fault_inject.hpp"
 #include "kernel/syscalls.hpp"
 #include "obs/postmortem.hpp"
+#include "tests/postmortem_dir.hpp"
 #include "tests/test_seed.hpp"
 
 namespace mercury::testing {
@@ -40,9 +41,10 @@ using kernel::Sub;
 using kernel::Sys;
 
 /// Disarm (and stop any storm) on scope exit, and route postmortem bundles
-/// into the test temp dir — same contract as fault_matrix_test's guard.
+/// into this process's own temp dir — same contract as fault_matrix_test's
+/// guard.
 struct InjectorGuard {
-  InjectorGuard() { obs::set_postmortem_dir(::testing::TempDir()); }
+  InjectorGuard() { obs::set_postmortem_dir(private_postmortem_dir()); }
   ~InjectorGuard() {
     core::fault_injector().disarm();
     core::fault_injector().stop_storm();

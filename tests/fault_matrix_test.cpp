@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/fault_inject.hpp"
 #include "core/invariants.hpp"
@@ -17,6 +18,7 @@
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
 #include "tests/json_checker.hpp"
+#include "tests/postmortem_dir.hpp"
 
 namespace mercury::testing {
 namespace {
@@ -31,8 +33,9 @@ using kernel::Sub;
 using kernel::Sys;
 
 /// Disarm (and stop any storm) on scope exit so one trial can never leak a
-/// fault regime into the next. Also routes postmortem bundles into the test
-/// temp dir (instead of the working directory) and restores the default on
+/// fault regime into the next. Also routes postmortem bundles into this
+/// process's own temp dir (instead of the working directory, or a directory
+/// a concurrently running test binary writes too) and restores the default on
 /// exit — and reports how many plans this scope armed without ever firing:
 /// a sweep whose plans all miss is asserting much less than it looks like.
 struct InjectorGuard {
@@ -42,7 +45,7 @@ struct InjectorGuard {
   InjectorGuard()
       : arms_before(core::fault_injector().arms()),
         unfired_before(core::fault_injector().unfired_disarms()) {
-    obs::set_postmortem_dir(::testing::TempDir());
+    obs::set_postmortem_dir(private_postmortem_dir());
   }
   ~InjectorGuard() {
     FaultInjector& fi = core::fault_injector();
@@ -79,6 +82,30 @@ std::uint64_t json_uint_after(const std::string& json, const std::string& key,
   const std::size_t k = json.find(key, from);
   if (k == std::string::npos) return ~0ull;
   return std::stoull(json.substr(k + key.size()));
+}
+
+/// Whether the most recent bundle's fault fired on the control processor:
+/// the CPU that ran the rolled-back commit, named by the switch.rollback
+/// event in the flight tail. (The CP is whichever CPU took the switch
+/// interrupt, not necessarily CPU 0.) Obs-off bundles carry no flight tail,
+/// so there is nothing to compare.
+void expect_fault_on_cp(bool on_cp, const std::string& ctx) {
+#if MERCURY_OBS_ENABLED
+  const std::string json = read_file(obs::last_postmortem_path());
+  const std::size_t fault = json.find("\"fault\":{");
+  ASSERT_NE(fault, std::string::npos) << ctx << ": bundle has no fault";
+  const std::size_t rollback = json.rfind("\"type\":\"switch.rollback\"");
+  ASSERT_NE(rollback, std::string::npos) << ctx << ": no switch.rollback event";
+  const std::uint64_t cp =
+      json_uint_after(json, "\"cpu\":", json.rfind("{\"seq\":", rollback));
+  const std::uint64_t fault_cpu = json_uint_after(json, "\"cpu\":", fault);
+  EXPECT_EQ(fault_cpu == cp, on_cp)
+      << ctx << ": fault fired on cpu " << fault_cpu << ", control processor "
+      << cp;
+#else
+  (void)on_cp;
+  (void)ctx;
+#endif
 }
 
 /// Every fired fault must leave a readable black box behind: a well-formed
@@ -339,11 +366,12 @@ TEST(FaultMatrix, CrewWorkerShardFaults) {
   sc.crew_workers = 3;
   Box box(sc, /*cpus=*/4);
   std::size_t fired = 0;
-  // Worker-side sites of the parallel switch pipeline: the fault fires on a
-  // rendezvous-parked crew CPU mid-shard, not on the control processor. Deep
-  // triggers land well inside a later shard (possibly a different worker);
-  // the crew must abort, join, rethrow on the CP, and the rollback must
-  // still converge in both directions.
+  // Helper sites of the parallel switch pipeline: the fault fires on a
+  // rendezvous-parked crew CPU mid-shard, never on the control processor
+  // (its shards report the adopt/release sites). Deep triggers land well
+  // inside a later shard (possibly a different helper); the crew must
+  // abort, join, rethrow on the CP, and the rollback must still converge in
+  // both directions.
   for (const FaultSite site :
        {FaultSite::kShardRebuild, FaultSite::kShardProtect,
         FaultSite::kShardUnprotect}) {
@@ -357,8 +385,10 @@ TEST(FaultMatrix, CrewWorkerShardFaults) {
             ctx_of(site, ExecMode::kNative, ExecMode::kPartialVirtual, trigger);
         SCOPED_TRACE(ctx);
         if (run_faulted_switch(box, ExecMode::kNative,
-                               ExecMode::kPartialVirtual, plan, ctx))
+                               ExecMode::kPartialVirtual, plan, ctx)) {
           ++fired;
+          expect_fault_on_cp(false, ctx);
+        }
         if (::testing::Test::HasFatalFailure()) return;
       }
       {
@@ -367,8 +397,10 @@ TEST(FaultMatrix, CrewWorkerShardFaults) {
             ctx_of(site, ExecMode::kPartialVirtual, ExecMode::kNative, trigger);
         SCOPED_TRACE(ctx);
         if (run_faulted_switch(box, ExecMode::kPartialVirtual,
-                               ExecMode::kNative, plan, ctx))
+                               ExecMode::kNative, plan, ctx)) {
           ++fired;
+          expect_fault_on_cp(false, ctx);
+        }
         if (::testing::Test::HasFatalFailure()) return;
         ASSERT_TRUE(box.settle(ExecMode::kNative));
       }
@@ -378,6 +410,59 @@ TEST(FaultMatrix, CrewWorkerShardFaults) {
   // attach); protect/unprotect shards see one per page table (~tens, so the
   // deep trigger commits untouched — exercising the unreached branch).
   EXPECT_GE(fired, 7u);
+}
+
+TEST(FaultMatrix, CrewOfOneFaultsOnlyAtControlProcessorSites) {
+  // crew_workers = 0: every shard of the bulk loops runs on the control
+  // processor, so the helper sites are unreachable and the adopt/release
+  // sites fire there — even on an SMP box with a CPU parked beside it.
+  InjectorGuard guard;
+  Box box({}, /*cpus=*/2);
+  for (const FaultSite site :
+       {FaultSite::kShardRebuild, FaultSite::kShardProtect,
+        FaultSite::kShardUnprotect}) {
+    FaultPlan plan;
+    plan.site = site;
+    {
+      const std::string ctx =
+          ctx_of(site, ExecMode::kNative, ExecMode::kPartialVirtual, 1);
+      SCOPED_TRACE(ctx);
+      EXPECT_FALSE(run_faulted_switch(box, ExecMode::kNative,
+                                      ExecMode::kPartialVirtual, plan, ctx))
+          << ctx << ": a helper site fired without helpers";
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    {
+      ASSERT_TRUE(box.settle(ExecMode::kPartialVirtual));
+      const std::string ctx =
+          ctx_of(site, ExecMode::kPartialVirtual, ExecMode::kNative, 1);
+      SCOPED_TRACE(ctx);
+      EXPECT_FALSE(run_faulted_switch(box, ExecMode::kPartialVirtual,
+                                      ExecMode::kNative, plan, ctx))
+          << ctx << ": a helper site fired without helpers";
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_TRUE(box.settle(ExecMode::kNative));
+    }
+  }
+  const std::pair<FaultSite, ExecMode> cp_rows[] = {
+      {FaultSite::kAdoptRebuild, ExecMode::kNative},
+      {FaultSite::kAdoptProtect, ExecMode::kNative},
+      {FaultSite::kReleaseUnprotect, ExecMode::kPartialVirtual},
+  };
+  for (const auto& [site, from] : cp_rows) {
+    const ExecMode target = from == ExecMode::kNative
+                                ? ExecMode::kPartialVirtual
+                                : ExecMode::kNative;
+    ASSERT_TRUE(box.settle(from));
+    FaultPlan plan;
+    plan.site = site;
+    const std::string ctx = ctx_of(site, from, target, 1);
+    SCOPED_TRACE(ctx);
+    ASSERT_TRUE(run_faulted_switch(box, from, target, plan, ctx))
+        << ctx << ": the control processor's site never fired";
+    expect_fault_on_cp(true, ctx);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(FaultMatrix, WarmReattachDirtyRebuildRows) {
@@ -452,7 +537,7 @@ TEST(FaultMatrix, WarmReattachDirtyRebuildRows) {
 TEST(FaultMatrix, WarmReattachCrewShardFaults) {
   // The same site fired from inside a crew worker's dirty_rebuild shard:
   // the crew must abort, join, rethrow on the CP, and the rollback +
-  // warm retry must converge exactly as on the serial path.
+  // warm retry must converge exactly as with a crew of one.
   InjectorGuard guard;
   core::SwitchConfig sc;
   sc.warm_reattach = true;

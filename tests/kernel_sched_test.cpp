@@ -26,7 +26,8 @@ TEST_F(SchedTest, PipeTransfersAndBlocks) {
   k->spawn("reader", [&, p](Sys& s) -> Sub<void> {
     const int rfd = s.adopt_pipe(p, true);
     const std::size_t n = co_await s.read_fd(rfd, 10);
-    order += "R" + std::to_string(n);
+    order += 'R';
+    order += std::to_string(n);
     co_return;
   });
   k->spawn("writer", [&, p](Sys& s) -> Sub<void> {

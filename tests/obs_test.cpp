@@ -14,6 +14,7 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "tests/json_checker.hpp"
+#include "tests/postmortem_dir.hpp"
 #include "util/stats.hpp"
 
 namespace mercury::testing {
@@ -608,7 +609,7 @@ TEST(Postmortem, OmitsFaultSectionWhenNoFault) {
 }
 
 TEST(Postmortem, WriteRotatesSlotsAndBumpsCount) {
-  obs::set_postmortem_dir(::testing::TempDir());
+  obs::set_postmortem_dir(private_postmortem_dir());
   obs::PostmortemContext ctx;
   ctx.reason = "assert";
   ctx.detail = "slot rotation test";

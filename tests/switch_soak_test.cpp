@@ -20,6 +20,7 @@
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
 #include "tests/json_checker.hpp"
+#include "tests/postmortem_dir.hpp"
 #include "tests/test_seed.hpp"
 
 namespace mercury::testing {
@@ -43,9 +44,10 @@ using kernel::Sys;
 struct InjectorGuard {
   InjectorGuard() {
     // The CI soak job sets MERCURY_POSTMORTEM_DIR to collect the storm's
-    // bundles as build artifacts; keep them in the test temp dir otherwise.
+    // bundles as build artifacts; keep them in this process's own temp dir
+    // otherwise.
     if (std::getenv("MERCURY_POSTMORTEM_DIR") == nullptr)
-      obs::set_postmortem_dir(::testing::TempDir());
+      obs::set_postmortem_dir(private_postmortem_dir());
   }
   ~InjectorGuard() {
     core::fault_injector().disarm();

@@ -15,6 +15,7 @@
 #include "kernel/syscalls.hpp"
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
+#include "tests/postmortem_dir.hpp"
 #include "tests/test_seed.hpp"
 #include "util/assert.hpp"
 
@@ -39,9 +40,9 @@ using kernel::Sub;
 using kernel::Sys;
 
 /// Leave the global injector quiet (no plan, no storm) and route postmortem
-/// bundles into the test temp dir.
+/// bundles into this process's own temp dir.
 struct InjectorGuard {
-  InjectorGuard() { obs::set_postmortem_dir(::testing::TempDir()); }
+  InjectorGuard() { obs::set_postmortem_dir(private_postmortem_dir()); }
   ~InjectorGuard() {
     core::fault_injector().disarm();
     core::fault_injector().stop_storm();
