@@ -72,7 +72,9 @@ inline ObsOptions consume_obs_flags(int& argc, char** argv) {
   argv[argc] = nullptr;
   if (!opts.metrics_json.empty() && opts.trace_json.empty())
     opts.trace_json = opts.metrics_json + ".trace.json";
-  if (opts.any()) obs::trace_buffer().set_enabled(true);
+  // First touch registers the obs.events.* gauges, so the ring's overflow
+  // accounting is in every metrics artifact.
+  if (opts.any()) obs::event_ring();
   if (!opts.profile_json.empty()) obs::profiler().set_enabled(true);
   return opts;
 }

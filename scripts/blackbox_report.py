@@ -12,7 +12,8 @@ bundle (see obs/postmortem.hpp) it prints: the failure header, per-CPU
 clocks, the phase timeline reconstructed from paired phase.begin/phase.end
 flight events, the supervisor timeline (attempts, backoffs, resolutions,
 health transitions), refcount-retry storms, crew shard utilization, SLO
-breaches, and the raw tail of the flight ring. For `mercury.timeseries.v1`
+breaches, and the raw tail of the event ring (a span prints as
+`span <name> <duration us>`). For `mercury.timeseries.v1`
 it prints each series as a unicode sparkline with min/max/last stats; for
 `mercury.profile.v1`, the engine-loop buckets ranked by wall time; for
 `mercury.pause.v1`, the per-cause pause-attribution table, per-CPU
@@ -36,9 +37,12 @@ def _us(cycles):
 
 def _fmt_event(ev):
     args = ev.get("args", [0, 0, 0])
+    head = f"seq {ev['seq']:>8}  cpu {ev['cpu']:>2}  {_us(ev['cycles']):>12.3f}us  "
+    if ev["type"] == "span":
+        # A span is stamped at its end and carries its duration as args[0].
+        return head + f"span {ev['name']} {_us(args[0]):.3f} us"
     return (
-        f"seq {ev['seq']:>8}  cpu {ev['cpu']:>2}  "
-        f"{_us(ev['cycles']):>12.3f}us  {ev['type']:<17} {ev['name']}"
+        head + f"{ev['type']:<17} {ev['name']}"
         f"  [{args[0]}, {args[1]}, {args[2]}]"
     )
 

@@ -77,7 +77,7 @@ def postmortem_doc():
             {"cpu": 1, "cycles": 9000000},
         ],
         "flight": {
-            "recorded": 7,
+            "recorded": 8,
             "dropped": 0,
             "events": [
                 flight_event(1, 0, 3000, "switch.request", "attach"),
@@ -91,7 +91,10 @@ def postmortem_doc():
                              (0, 8, 4500)),
                 flight_event(6, 0, 21000, "crew.join", "vmm.adopt_rebuild",
                              (8, 36000, 9000)),
-                flight_event(7, 2, 24000, "fault.hit", "vmm.adopt_protect",
+                # A span entry: stamped at its end, duration in args[0].
+                flight_event(7, 1, 22500, "span", "vmm.adopt_rebuild.shard",
+                             (4500, 0, 0)),
+                flight_event(8, 2, 24000, "fault.hit", "vmm.adopt_protect",
                              (4, 0, 1)),
             ],
         },
@@ -911,6 +914,7 @@ class BlackboxReportTest(unittest.TestCase):
         self.assertIn("crew utilization", text)
         self.assertIn("retry storm", text)
         self.assertIn("native -> full-virtual", text)
+        self.assertIn("span vmm.adopt_rebuild.shard 1.500 us", text)
 
     def test_renders_empty_flight_bundle(self):
         # The obs-off shape: no flight events at all must still render.

@@ -437,15 +437,11 @@ void ClusterSoak::run_wave() {
   ++waves_run_;
 
 #if MERCURY_OBS_ENABLED
-  obs::TraceEvent wave_ev;
-  wave_ev.name = "cluster.wave";
-  wave_ev.cat = obs::TraceCat::kCluster;
-  wave_ev.cpu = 0;
-  wave_ev.begin = wave_begin;
-  wave_ev.end = fabric_.now();
-  wave_ev.trace_id = wave_ctx.trace_id;
-  wave_ev.span_id = wave_ctx.span_id;
-  obs::trace_buffer().record(wave_ev);
+  obs::event_ring().record(obs::Event{
+      .name = "cluster.wave", .type = obs::EventType::kSpan,
+      .cat = obs::TraceCat::kCluster, .begin = wave_begin,
+      .end = fabric_.now(), .trace_id = wave_ctx.trace_id,
+      .span_id = wave_ctx.span_id});
 #endif
 }
 

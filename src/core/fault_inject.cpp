@@ -110,17 +110,10 @@ void FaultInjector::fire_plan(FaultSite site, hw::Cpu* cpu,
   obs::registry().counter("fault.injected_at", fault_site_name(site)).inc();
   // Black box: the fault hit is the last thing the flight tail must explain,
   // stamped with the site, kind, visit ordinal, and the executing CPU.
-  if (cpu != nullptr) {
-    MERC_FLIGHT(*cpu, kFaultHit, fault_site_name(site),
-                static_cast<std::uint64_t>(site),
-                static_cast<std::uint64_t>(plan_.kind), visit);
-  } else {
-    obs::flight_recorder().record(0, obs::FlightType::kFaultHit,
-                                  fault_site_name(site), 0,
-                                  static_cast<std::uint64_t>(site),
-                                  static_cast<std::uint64_t>(plan_.kind),
-                                  visit);
-  }
+  obs::event_ring().record(cpu ? cpu->id() : 0, obs::EventType::kFaultHit,
+                           fault_site_name(site), cpu ? cpu->now() : 0,
+                           static_cast<std::uint64_t>(site),
+                           static_cast<std::uint64_t>(plan_.kind), visit);
 #endif
   util::log_warn("fault", "injecting ", plan_.describe());
   throw FaultInjected{site, plan_.kind, cpu != nullptr ? cpu->id() : 0u};
@@ -146,17 +139,10 @@ void FaultInjector::fire_storm(FaultSite site, hw::Cpu* cpu,
   MERC_COUNT("fault.storm.fires");
 #if MERCURY_OBS_ENABLED
   obs::registry().counter("fault.injected_at", fault_site_name(site)).inc();
-  if (cpu != nullptr) {
-    MERC_FLIGHT(*cpu, kFaultHit, fault_site_name(site),
-                static_cast<std::uint64_t>(site),
-                static_cast<std::uint64_t>(storm_.kind), visit);
-  } else {
-    obs::flight_recorder().record(0, obs::FlightType::kFaultHit,
-                                  fault_site_name(site), 0,
-                                  static_cast<std::uint64_t>(site),
-                                  static_cast<std::uint64_t>(storm_.kind),
-                                  visit);
-  }
+  obs::event_ring().record(cpu ? cpu->id() : 0, obs::EventType::kFaultHit,
+                           fault_site_name(site), cpu ? cpu->now() : 0,
+                           static_cast<std::uint64_t>(site),
+                           static_cast<std::uint64_t>(storm_.kind), visit);
 #endif
   util::log_warn("fault", "storm firing at ", fault_site_name(site),
                  " (fire #", storm_fires_, ")");

@@ -450,7 +450,7 @@ void SwitchEngine::observe_slo(hw::Cpu& cpu, bool attach, hw::Cycles total,
                cpu.id(), cpu.now());
   slo_.observe("switch.fixup_cycles", tr.fixup_cycles, cpu.id(), cpu.now());
   // The per-CPU unavailability budget: the whole park-to-release window,
-  // shard work included. Breach evidence lands in the flight ring like
+  // shard work included. Breach evidence lands in the event ring like
   // every other phase.
   slo_.observe("switch.max_pause_cycles", stats_.last_max_pause_cycles,
                cpu.id(), cpu.now());
@@ -837,7 +837,7 @@ void SwitchEngine::rollback(hw::Cpu& cpu, ExecMode from, ExecMode target,
               static_cast<std::uint64_t>(from),
               static_cast<std::uint64_t>(target),
               static_cast<std::uint64_t>(fault.site));
-  // Each named unwind step lands in the flight ring with an ordinal, so the
+  // Each named unwind step lands in the event ring with an ordinal, so the
   // postmortem tail shows how far the rollback got if *it* dies too.
   std::uint64_t step = 0;
   const auto flight_step = [&](const char* name) {

@@ -58,7 +58,7 @@ const char* switch_outcome_name(SwitchOutcome o);
 /// Per-phase cycle budgets for the switch-SLO watchdog (0 = unlimited).
 /// After every committed switch the engine reports the phase actuals to an
 /// obs::SloWatchdog; each breach bumps `switch.slo.breaches`, lands in the
-/// flight recorder, and is logged — a live regression alarm for the paper's
+/// event ring, and is logged — a live regression alarm for the paper's
 /// "a switch is cheap" promise.
 struct SwitchSloBudgets {
   hw::Cycles attach_total = 0;

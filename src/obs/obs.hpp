@@ -16,7 +16,6 @@
 
 #include <chrono>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pause_ledger.hpp"
 #include "obs/profiler.hpp"
@@ -47,11 +46,12 @@ class TraceSpan {
   }
   ~TraceSpan() {
     set_span_context(parent_);
-    TraceEvent ev{name_, cat_, cpu_->id(), begin_, cpu_->now()};
-    ev.trace_id = ctx_.trace_id;
-    ev.span_id = ctx_.span_id;
-    ev.parent_id = ctx_.parent_id;
-    trace_buffer().record(ev);
+    event_ring().record(Event{.name = name_, .type = EventType::kSpan,
+                              .cat = cat_, .cpu = cpu_->id(),
+                              .begin = begin_, .end = cpu_->now(),
+                              .trace_id = ctx_.trace_id,
+                              .span_id = ctx_.span_id,
+                              .parent_id = ctx_.parent_id});
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -141,15 +141,16 @@ class ProfScope {
 
 /// Zero-duration marker event at cpu_'s current simulated time.
 #define MERC_INSTANT(cpu_, cat_, name_)                                  \
-  ::mercury::obs::trace_buffer().record_instant(                         \
-      (cpu_).id(), ::mercury::obs::TraceCat::cat_, name_, (cpu_).now())
+  ::mercury::obs::event_ring().record(                                   \
+      (cpu_).id(), ::mercury::obs::EventType::kInstant, name_,           \
+      (cpu_).now(), 0, 0, 0, ::mercury::obs::TraceCat::cat_)
 
-/// Black-box flight event on cpu_'s ring, stamped with its id and clock:
+/// Black-box event on cpu_'s ring, stamped with its id and clock:
 /// MERC_FLIGHT(cpu, kFaultHit, "adopt.rebuild", site, kind, visits).
-/// Up to three integer arguments; type_ is a bare FlightType enumerator.
+/// Up to three integer arguments; type_ is a bare EventType enumerator.
 #define MERC_FLIGHT(cpu_, type_, name_, ...)                             \
-  ::mercury::obs::flight_recorder().record(                              \
-      (cpu_).id(), ::mercury::obs::FlightType::type_, name_,             \
+  ::mercury::obs::event_ring().record(                                   \
+      (cpu_).id(), ::mercury::obs::EventType::type_, name_,              \
       (cpu_).now() __VA_OPT__(, ) __VA_ARGS__)
 
 /// Record one closed per-CPU unavailability interval on the ambient pause

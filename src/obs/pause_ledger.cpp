@@ -1,7 +1,7 @@
 #include "obs/pause_ledger.hpp"
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace mercury::obs {
 
@@ -50,10 +50,9 @@ void PauseLedger::note_worst(PauseCause cause, std::uint32_t cpu,
   // Capture the seq the pause.worst event will get, then emit it: the
   // artifact's worst.flight_seq points at a real ring entry, so a report
   // can cut the black-box tail around the worst interval.
-  worst_.flight_seq = flight_recorder().next_seq();
-  flight_recorder().record(cpu, FlightType::kPauseWorst,
-                           pause_cause_name(cause), end,
-                           static_cast<std::uint64_t>(cause), begin, span);
+  worst_.flight_seq = event_ring().next_seq();
+  event_ring().record(cpu, EventType::kPauseWorst, pause_cause_name(cause),
+                      end, static_cast<std::uint64_t>(cause), begin, span);
 }
 
 void PauseLedger::record(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
@@ -193,7 +192,7 @@ std::string PauseLedger::to_json() const {
   // events that blackbox_report.py can render the tail without a separate
   // postmortem bundle.
   out += "],\"flight\":{\"events\":";
-  out += flight_events_json(flight_recorder().tail(64));
+  out += events_json(event_ring().tail(64));
   out += "}}";
   return out;
 }

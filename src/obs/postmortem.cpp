@@ -7,7 +7,6 @@
 #include <unistd.h>
 #endif
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
@@ -18,7 +17,7 @@ namespace mercury::obs {
 namespace {
 
 // Rotating slot pool: the black box bounds its disk footprint the same way
-// the flight ring bounds memory. 32 slots comfortably covers a fault-matrix
+// the event ring bounds memory. 32 slots comfortably covers a fault-matrix
 // sweep's "did THIS trial dump?" window while capping a fuzzer's output.
 constexpr std::uint64_t kPostmortemSlots = 32;
 
@@ -94,7 +93,7 @@ std::uint64_t postmortem_count() { return count_storage(); }
 
 std::string postmortem_json(const PostmortemContext& ctx,
                             std::size_t flight_tail) {
-  const FlightRecorder& rec = flight_recorder();
+  const EventRing& ring = event_ring();
   std::string out = "{\"schema\":\"mercury.postmortem.v1\",\"reason\":";
   append_escaped(out, ctx.reason);
   out += ",\"detail\":";
@@ -127,11 +126,11 @@ std::string postmortem_json(const PostmortemContext& ctx,
     out += '}';
   }
   out += "],\"flight\":{\"recorded\":";
-  out += std::to_string(rec.recorded());
+  out += std::to_string(ring.recorded());
   out += ",\"dropped\":";
-  out += std::to_string(rec.dropped());
+  out += std::to_string(ring.dropped());
   out += ",\"events\":";
-  out += flight_events_json(rec.tail(flight_tail));
+  out += events_json(ring.tail(flight_tail));
   out += "},\"metrics\":";
   out += to_json(snapshot());
   out += ",\"extra\":[";
@@ -182,8 +181,8 @@ void assert_failure_hook(const char* expr, const char* file, int line,
   if (in_hook) return;
   in_hook = true;
 #if MERCURY_OBS_ENABLED
-  flight_recorder().record(0, FlightType::kAssertFail, expr, 0,
-                           static_cast<std::uint64_t>(line));
+  event_ring().record(0, EventType::kAssertFail, expr, 0,
+                      static_cast<std::uint64_t>(line));
 #endif
   PostmortemContext ctx;
   ctx.reason = "assert";

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
 #include "util/log.hpp"
 
@@ -31,7 +30,7 @@ bool SloWatchdog::observe(const char* phase, hw::Cycles actual,
   ++breaches_;
   MERC_COUNT("switch.slo.breaches");
 #if MERCURY_OBS_ENABLED
-  flight_recorder().record(cpu, FlightType::kSloBreach, phase, at, actual, b);
+  event_ring().record(cpu, EventType::kSloBreach, phase, at, actual, b);
 #else
   (void)cpu;
   (void)at;

@@ -25,7 +25,7 @@ class SloWatchdog {
  public:
   /// Set the budget for `phase` (0 = unlimited). `phase` must be a string
   /// literal or otherwise outlive the watchdog: breaches record the pointer
-  /// into the flight ring.
+  /// into the event ring.
   void set_budget(const char* phase, hw::Cycles budget);
   hw::Cycles budget(const char* phase) const;
 

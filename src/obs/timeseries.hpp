@@ -16,7 +16,7 @@
 //
 // Rings are bounded: past capacity the oldest points drop (counted), so an
 // over-long soak degrades to "most recent window" instead of unbounded
-// growth — the same policy as the trace and flight rings.
+// growth — the same policy as the event ring.
 #pragma once
 
 #include <cstdint>

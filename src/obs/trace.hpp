@@ -1,24 +1,34 @@
-// Span-based tracer (telemetry pillar 2).
+// One event stream (telemetry pillar 2 + the dependability black box).
 //
-// Fixed-capacity per-CPU ring buffers of trace events over simulated
-// hw::Cycles, recorded by scoped RAII TraceSpans. The buffer exports Chrome
-// `trace_event` JSON (chrome://tracing / Perfetto "Open trace file"): one
-// process per cluster node, one track per simulated CPU, ts/dur in
-// simulated microseconds.
+// Fixed-capacity per-CPU rings of typed events over simulated hw::Cycles:
+// spans recorded by scoped RAII TraceSpans, instant markers, and the
+// black-box events that make every rollback, crash and invariant failure
+// diagnosable after the fact — phase begin/end with item counts,
+// refcount-retry with the observed count, crew shard publish/grab/join,
+// fault-injection hits, rollback steps, invariant verdicts, SLO breaches.
+// Every event carries a *global* sequence number, so merging the per-CPU
+// rings by `seq` reconstructs exactly the order in which the
+// single-threaded simulator emitted them, and up to three integer args.
+//
+// The ring has two views: chrome_trace_json() (chrome://tracing / Perfetto
+// "Open trace file": one process per cluster node, one track per simulated
+// CPU, ts/dur in simulated microseconds) and events_json(), the tail the
+// postmortem bundle and the pause ledger embed.
 //
 // Rings overwrite their oldest event when full (the dropped count is kept),
-// so tracing never allocates on the hot path after the first event on a CPU
-// and a runaway workload cannot exhaust memory — Mercury's "pay only when
-// attached" philosophy applied to telemetry.
+// so recording never allocates on the hot path after the first event on a
+// CPU and a runaway workload cannot exhaust memory — Mercury's "pay only
+// when attached" philosophy applied to telemetry. Recording is a ring-slot
+// store plus a counter increment and never cpu.charge()s.
 //
 // Causal tracing: every span carries a SpanContext (trace-id / span-id /
 // parent-span-id). The simulator is a single-threaded discrete-event
 // machine, so the *ambient* context is one global slot: a TraceSpan makes
 // itself the ambient context for its scope, and anything recorded inside —
-// nested spans, instants, a cross-node switch request — links to it. The
-// cluster fabric installs a TraceNodeScope around each node's stepper so
-// events are attributed to the node (the Chrome pid) they ran on, and the
-// switch supervisor/engine carry a captured SpanContext across the
+// nested spans, point events, a cross-node switch request — links to it.
+// The cluster fabric installs a TraceNodeScope around each node's stepper
+// so events are attributed to the node (the Chrome pid) they ran on, and
+// the switch supervisor/engine carry a captured SpanContext across the
 // asynchronous request -> interrupt -> commit hop, so one cluster-wide
 // switch wave renders as a single causally-linked tree.
 #pragma once
@@ -104,65 +114,96 @@ class TraceNodeScope {
   std::uint32_t prev_;
 };
 
-struct TraceEvent {
-  const char* name = "";  // static string (event names are literals)
-  TraceCat cat = TraceCat::kOther;
-  std::uint32_t cpu = 0;
-  hw::Cycles begin = 0;
-  hw::Cycles end = 0;  // == begin for instant events
-  std::uint32_t node = 0;      // cluster node (0 = unscoped); Chrome pid
-  std::uint64_t seq = 0;       // global record order, assigned by the buffer
-  std::uint64_t trace_id = 0;  // causal tree (0 = untraced event)
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_id = 0;
-  bool instant() const { return end == begin; }
+/// What an Event records. kSpan / kInstant come from the tracer macros;
+/// the rest are the black-box types, each carrying up to three integer
+/// arguments.
+enum class EventType : std::uint8_t {
+  kSpan,              // TraceSpan: begin..end over one CPU's clock
+  kInstant,           // MERC_INSTANT marker
+  kPhaseBegin,        // arg0 = item count (frames, tables, tasks)
+  kPhaseEnd,          // arg0 = item count, arg1 = elapsed cycles
+  kSwitchRequest,     // arg0 = from mode, arg1 = target mode
+  kSwitchCommit,      // arg0 = from mode, arg1 = target mode, arg2 = cycles
+  kSwitchRollback,    // arg0 = from mode, arg1 = target mode
+  kRefcountRetry,     // arg0 = observed active_refs, arg1 = total deferrals
+  kCrewPublish,       // arg0 = items, arg1 = shard count, arg2 = crew size
+  kCrewGrab,          // arg0 = shard begin, arg1 = shard end, arg2 = cycles
+  kCrewJoin,          // arg0 = shards run, arg1 = busy cycles, arg2 = span
+  kShardRange,        // arg0 = count, arg1 = first pfn, arg2 = last pfn
+  kFaultHit,          // arg0 = site, arg1 = kind, arg2 = visit count
+  kRollbackStep,      // arg0 = step ordinal
+  kInvariantVerdict,  // arg0 = violation count
+  kSloBreach,         // arg0 = actual cycles, arg1 = budget cycles
+  kAssertFail,        // arg0 = source line
+  kSwitchCancel,      // arg0 = current mode, arg1 = abandoned target mode
+  kSupervisorAttempt, // arg0 = request id, arg1 = attempt #, arg2 = target
+  kSupervisorBackoff, // arg0 = request id, arg1 = attempt #, arg2 = delay cy
+  kSupervisorResolve, // arg0 = request id, arg1 = terminal state, arg2 = attempts
+  kHealthTransition,  // arg0 = from health, arg1 = to health, arg2 = fail streak
+  kPauseWorst,        // arg0 = pause cause, arg1 = begin cycle, arg2 = span
 };
 
-class TraceBuffer {
+const char* event_type_name(EventType t);
+
+struct Event {
+  const char* name = "";  // static string (event names are literals)
+  EventType type = EventType::kInstant;
+  TraceCat cat = TraceCat::kOther;
+  std::uint32_t cpu = 0;
+  std::uint32_t node = 0;  // cluster node (0 = unscoped); Chrome pid
+  hw::Cycles begin = 0;
+  hw::Cycles end = 0;          // == begin for point events
+  std::uint64_t seq = 0;       // global emission order, assigned by the ring
+  std::uint64_t trace_id = 0;  // causal tree (0 = untraced event)
+  std::uint64_t span_id = 0;   // spans only
+  std::uint64_t parent_id = 0;
+  std::uint64_t arg0 = 0, arg1 = 0, arg2 = 0;
+};
+
+/// Per-CPU rings of Events with one global sequence counter. Rings
+/// overwrite their oldest event when full (the dropped count is kept): the
+/// recorder never allocates after the first event on a CPU and never loses
+/// the *newest* evidence.
+class EventRing {
  public:
-  static constexpr std::size_t kDefaultCapacityPerCpu = 4096;
+  // 2048 x 104-byte events: about 208 KB for each CPU that records. At this
+  // size bench_modeswitch's sweep overwrites 28% of its events.
+  static constexpr std::size_t kCapacityPerCpu = 2048;
 
-  explicit TraceBuffer(std::size_t capacity_per_cpu = kDefaultCapacityPerCpu);
+  explicit EventRing(std::size_t capacity_per_cpu = kCapacityPerCpu);
 
-  /// Tracing starts enabled; disable to make record() a cheap early-out.
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
+  /// Record `ev` as given (a span carries its own context), stamping the
+  /// next sequence number and — when ev.node is 0 — the ambient trace node.
+  void record(const Event& ev);
+  /// Record a point event at `at` on `cpu`, hung off the ambient
+  /// SpanContext and trace node.
+  void record(std::uint32_t cpu, EventType type, const char* name,
+              hw::Cycles at, std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,
+              std::uint64_t arg2 = 0, TraceCat cat = TraceCat::kOther);
 
-  /// Change per-CPU ring capacity; drops everything recorded so far.
-  void set_capacity(std::size_t per_cpu);
-  std::size_t capacity() const { return capacity_; }
+  /// All retained events merged across CPUs, in emission (seq) order.
+  std::vector<Event> events() const;
+  /// The last `n` retained events in emission order — the black-box tail.
+  std::vector<Event> tail(std::size_t n) const;
 
-  /// Record `ev`, stamping it with the next global sequence number and —
-  /// when ev.node is 0 — the ambient trace node.
-  void record(const TraceEvent& ev);
-  void record_instant(std::uint32_t cpu, TraceCat cat, const char* name,
-                      hw::Cycles at) {
-    TraceEvent ev{name, cat, cpu, at, at};
-    // Instants hang off whatever span is ambient at the marker site.
-    const SpanContext& ctx = current_span_context();
-    ev.trace_id = ctx.trace_id;
-    ev.parent_id = ctx.span_id;
-    record(ev);
-  }
-
-  /// All retained events, oldest first, across CPUs (ordered by begin time,
-  /// ties broken by the global sequence number so exports are stable even
-  /// when rings wrapped).
-  std::vector<TraceEvent> events() const;
   std::uint64_t recorded() const { return recorded_; }
   std::uint64_t dropped() const { return dropped_; }
-  /// Drops retained events; the global sequence keeps counting, so events
-  /// recorded before and after a clear still order correctly.
+  /// The seq the *next* record() will stamp, so a caller can capture it
+  /// just before emitting an event it wants to cross-reference (the pause
+  /// ledger's worst-case tracker does).
+  std::uint64_t next_seq() const { return next_seq_; }
+  /// Drops retained events; the sequence keeps counting, so events exported
+  /// before and after a clear still order correctly.
   void clear();
 
  private:
   struct Ring {
-    std::vector<TraceEvent> slots;
+    std::vector<Event> slots;
     std::size_t head = 0;  // next write position
     std::size_t size = 0;
   };
+  Event& claim(std::uint32_t cpu);
 
-  bool enabled_ = true;
   std::size_t capacity_;
   std::vector<Ring> rings_;  // indexed by cpu id, grown on demand
   std::uint64_t recorded_ = 0;
@@ -170,17 +211,27 @@ class TraceBuffer {
   std::uint64_t next_seq_ = 1;  // global across rings; survives clear()
 };
 
-/// The process-global buffer the instrumentation macros record into.
-TraceBuffer& trace_buffer();
+/// The process-global ring the instrumentation macros record into. First
+/// use registers `obs.events.recorded` / `obs.events.dropped` callback
+/// gauges so ring overflow shows up in every --metrics-json artifact.
+EventRing& event_ring();
 
-/// Chrome trace_event JSON for the buffer ("X" complete events, pid = the
-/// cluster node, one tid per simulated CPU; span/trace/parent ids travel in
-/// "args"). Loadable by chrome://tracing and ui.perfetto.dev.
-std::string chrome_trace_json(const TraceBuffer& buf = trace_buffer());
+/// View: Chrome trace_event JSON of the ring. Spans render as "X" complete
+/// events and everything else as "i" instants; pid = the cluster node, one
+/// tid per simulated CPU; seq and span/trace/parent ids travel in "args",
+/// as do a black-box event's three arguments (its "cat" is its type name).
+/// Loadable by chrome://tracing and ui.perfetto.dev.
+std::string chrome_trace_json(const EventRing& ring = event_ring());
 
 /// Write chrome_trace_json() to `path`; false on I/O failure.
 bool write_chrome_trace(const std::string& path,
-                        const TraceBuffer& buf = trace_buffer());
+                        const EventRing& ring = event_ring());
+
+/// View: JSON array of `events` (each `{"seq":..,"cpu":..,"cycles":..,
+/// "type":..,"name":..,"args":[a0,a1,a2]}`), used by the postmortem bundle
+/// and the pause ledger. A span appears with `cycles` = its end and
+/// args[0] = its duration.
+std::string events_json(const std::vector<Event>& events);
 
 /// RAII span over simulated time: samples cpu.now() at construction and
 /// destruction and records a complete event. Constructing spans inside

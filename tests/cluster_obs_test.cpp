@@ -35,8 +35,7 @@ cluster::ClusterSoakParams small_params() {
 #if MERCURY_OBS_ENABLED
 
 TEST(ClusterObs, SwitchWaveFormsOneCausalTraceAcrossNodes) {
-  obs::TraceBuffer& buf = obs::trace_buffer();
-  buf.set_enabled(true);
+  obs::EventRing& buf = obs::event_ring();
   buf.clear();
 
   cluster::ClusterSoak soak(small_params());
@@ -46,7 +45,7 @@ TEST(ClusterObs, SwitchWaveFormsOneCausalTraceAcrossNodes) {
   // Each wave records a root "cluster.wave" event carrying the wave's
   // trace id. Use the newest wave: it is the least likely to have lost
   // children to ring wrap.
-  const obs::TraceEvent* wave = nullptr;
+  const obs::Event* wave = nullptr;
   for (const auto& e : evs)
     if (std::strcmp(e.name, "cluster.wave") == 0) wave = &e;
   ASSERT_NE(wave, nullptr);
