@@ -13,8 +13,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "cluster/failure.hpp"
-#include "cluster/scenarios.hpp"
+#include "cluster/depend.hpp"
+#include "cluster/fabric.hpp"
 #include "kernel/syscalls.hpp"
 #include "util/table.hpp"
 #include "workloads/configs.hpp"
@@ -50,9 +50,10 @@ MeasuredCosts measure() {
   });
   a.mercury().kernel().run_for(10 * hw::kCyclesPerMillisecond);
 
-  const auto ev = cluster::evacuate(a, b);
-  m.evac_downtime_ms = hw::cycles_to_us(ev.migration.downtime_cycles) / 1000.0;
-  m.evac_total_ms = hw::cycles_to_us(ev.migration.total_cycles) / 1000.0;
+  const cluster::ArcReport ev = cluster::evacuate_arc(a, b);
+  MERC_CHECK(ev.success);
+  m.evac_downtime_ms = hw::cycles_to_us(ev.downtime_cycles) / 1000.0;
+  m.evac_total_ms = hw::cycles_to_us(ev.service_cycles) / 1000.0;
 
   // Attach/detach cost on a third node.
   cluster::Fabric f2;

@@ -2,10 +2,13 @@
 //
 // The pre-cached VMM is attached periodically, snapshots the whole OS
 // domain (memory image + vcpu state), and detaches. When a software failure
-// corrupts the system, the snapshot is restored.
+// corrupts the system, the snapshot is restored. The failure here is an
+// outside overwrite of one chosen word, which guest code cannot make, so
+// this example drives the Checkpointer directly; checkpoint_restart_arc
+// (cluster/depend.hpp) is the supervised form with guest divergence.
 #include <cstdio>
 
-#include "cluster/scenarios.hpp"
+#include "core/mercury.hpp"
 #include "kernel/syscalls.hpp"
 #include "vmm/checkpoint.hpp"
 
@@ -41,26 +44,37 @@ int main() {
   std::printf("application state written: 0x%08X\n", mmu.read_u32(cpu, state_page));
 
   // Periodic checkpoint (attach -> snapshot -> detach).
-  auto ckpt = cluster::checkpoint_os(mercury);
+  const hw::Cycles c0 = cpu.now();
+  MERC_CHECK(mercury.switch_to(core::ExecMode::kPartialVirtual));
+  const vmm::Snapshot snapshot = vmm::Checkpointer::take(
+      cpu, mercury.hypervisor(), mercury.driver_vo().dom());
+  MERC_CHECK(mercury.switch_to(core::ExecMode::kNative));
   std::printf("checkpoint: %.1f MB in %.2f ms (VMM attached only for the "
               "snapshot)\n",
-              static_cast<double>(ckpt.snapshot.bytes()) / (1024 * 1024),
-              hw::cycles_to_us(ckpt.total_cycles) / 1000.0);
+              static_cast<double>(snapshot.bytes()) / (1024 * 1024),
+              hw::cycles_to_us(cpu.now() - c0) / 1000.0);
 
   // Disaster: the application state is scribbled over.
   mmu.write_u32(cpu, state_page, 0xDEADDEAD);
   std::printf("failure injected: state now 0x%08X\n",
               mmu.read_u32(cpu, state_page));
 
-  // Restore from the last checkpoint.
-  const hw::Cycles restore_cycles = cluster::restore_os(mercury, ckpt.snapshot);
+  // Restore from the last checkpoint (attach -> write back -> detach). The
+  // image is compared while the VMM is still attached: the detach re-flips
+  // page-table writability bits, so bit-exactness is defined against the
+  // attached image.
+  const hw::Cycles r0 = cpu.now();
+  MERC_CHECK(mercury.switch_to(core::ExecMode::kPartialVirtual));
+  vmm::Checkpointer::restore(cpu, mercury.hypervisor(), snapshot);
+  const bool bit_exact =
+      vmm::Checkpointer::matches(mercury.hypervisor(), snapshot);
+  MERC_CHECK(mercury.switch_to(core::ExecMode::kNative));
+  const hw::Cycles restore_cycles = cpu.now() - r0;
   const std::uint32_t recovered = mmu.read_u32(cpu, state_page);
   cpu.set_cpl(prev);
   std::printf("restored in %.2f ms: state is 0x%08X again\n",
               hw::cycles_to_us(restore_cycles) / 1000.0, recovered);
   std::printf("memory image bit-exact vs snapshot: %s\n",
-              vmm::Checkpointer::matches(mercury.hypervisor(), ckpt.snapshot)
-                  ? "yes"
-                  : "no");
-  return recovered == 0xC0FFEE42 ? 0 : 1;
+              bit_exact ? "yes" : "no");
+  return recovered == 0xC0FFEE42 && bit_exact ? 0 : 1;
 }

@@ -6,8 +6,8 @@
 // completely shielded from the failure.
 #include <cstdio>
 
+#include "cluster/depend.hpp"
 #include "cluster/failure.hpp"
-#include "cluster/scenarios.hpp"
 #include "kernel/syscalls.hpp"
 
 using namespace mercury;
@@ -58,7 +58,7 @@ int main() {
   std::printf("prediction at %ld solver steps; evacuating node1 -> node2\n",
               steps_at_prediction);
 
-  const auto report = cluster::evacuate(n1, n2);
+  const auto report = cluster::evacuate_arc(n1, n2);
   if (!report.success) {
     std::fprintf(stderr, "evacuation failed\n");
     return 1;
@@ -70,9 +70,10 @@ int main() {
   std::printf("node1 is dead; solver continues on node2: %ld steps (+%ld)\n",
               steps, steps - steps_at_prediction);
   std::printf("prediction -> safety: %.1f ms; migration downtime %.3f ms "
-              "(%zu pages, %zu rounds)\n",
-              hw::cycles_to_us(report.prediction_to_safety()) / 1000.0,
-              hw::cycles_to_us(report.migration.downtime_cycles) / 1000.0,
-              report.migration.pages_sent, report.migration.rounds);
+              "(%llu pages, %llu rounds)\n",
+              hw::cycles_to_us(report.window_cycles) / 1000.0,
+              hw::cycles_to_us(report.downtime_cycles) / 1000.0,
+              static_cast<unsigned long long>(report.pages_sent),
+              static_cast<unsigned long long>(report.precopy_rounds));
   return steps > steps_at_prediction ? 0 : 1;
 }

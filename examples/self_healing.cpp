@@ -5,7 +5,8 @@
 // repair machine (the Backdoors approach) required.
 #include <cstdio>
 
-#include "cluster/scenarios.hpp"
+#include "cluster/depend.hpp"
+#include "cluster/failure.hpp"
 #include "kernel/syscalls.hpp"
 
 using namespace mercury;
@@ -13,12 +14,12 @@ using kernel::Sub;
 using kernel::Sys;
 
 int main() {
-  hw::MachineConfig mc;
-  mc.mem_kb = 256 * 1024;
-  hw::Machine machine(mc);
-  core::MercuryConfig cfg;
-  cfg.kernel_frames = (128ull * 1024 * 1024) / hw::kPageSize;
-  core::Mercury mercury(machine, cfg);
+  cluster::NodeConfig nc;
+  nc.mem_kb = 256 * 1024;
+  nc.kernel_mem_kb = 128 * 1024;
+  cluster::Fabric fabric;
+  cluster::Node& node = fabric.add_node("host", nc);
+  core::Mercury& mercury = node.mercury();
 
   bool touch_ok = false;
   hw::VirtAddr buf = 0;
@@ -36,7 +37,7 @@ int main() {
   std::printf("victim process established its working set (pid %d)\n", pid);
 
   // Fault injection: scribble over one of its page-table entries.
-  if (!cluster::inject_pte_corruption(mercury, pid)) {
+  if (!cluster::FailureInjector::corrupt_user_pte(mercury, pid)) {
     std::fprintf(stderr, "could not inject corruption\n");
     return 1;
   }
@@ -44,12 +45,17 @@ int main() {
               "(tainted kernel state)\n");
 
   // The healing pass: attach in heal mode, validation repairs, detach.
-  const auto report = cluster::self_heal(mercury);
+  const std::uint64_t healed_before =
+      mercury.hypervisor().stats().entries_healed;
+  const auto report = cluster::self_heal_arc(node);
+  const std::uint64_t healed =
+      mercury.hypervisor().stats().entries_healed - healed_before;
   std::printf("self-heal: %llu tainted entr%s repaired in %.3f ms "
-              "(VMM attached only for the repair)\n",
-              static_cast<unsigned long long>(report.entries_healed),
-              report.entries_healed == 1 ? "y" : "ies",
-              hw::cycles_to_us(report.total_cycles) / 1000.0);
+              "(VMM attached only for the repair), verified: %s\n",
+              static_cast<unsigned long long>(healed),
+              healed == 1 ? "y" : "ies",
+              hw::cycles_to_us(report.window_cycles) / 1000.0,
+              report.verified ? "yes" : "no");
 
   // The victim keeps running: its next touch demand-faults a fresh page in.
   touch_ok = false;
@@ -57,5 +63,5 @@ int main() {
   std::printf("victim alive after repair: %s (mode=%s)\n",
               touch_ok ? "yes" : "no",
               core::exec_mode_name(mercury.mode()));
-  return report.entries_healed >= 1 && touch_ok ? 0 : 1;
+  return report.success && healed >= 1 && touch_ok ? 0 : 1;
 }

@@ -142,6 +142,102 @@ void fold_pauses(ArcReport& r, const obs::PauseLedger& ledger) {
   r.pause_rollback_cycles = ledger.total(obs::PauseCause::kRollbackUnwind);
 }
 
+/// The receiver's supervisor settings in a two-node arc: the source's,
+/// with its own backoff jitter.
+core::SupervisorConfig receiver_supervisor(const DependConfig& cfg) {
+  core::SupervisorConfig dcfg = cfg.supervisor;
+  dcfg.seed = cfg.supervisor.seed * 0x9E3779B97F4A7C15ull + 1;
+  return dcfg;
+}
+
+/// One migration leg under the service-step ladder: `from`'s guest domain
+/// moves to `to`'s hypervisor, with a content-dirty window on the sending
+/// machine. A mid-stream fault unwinds inside LiveMigration (destination
+/// reservation dropped, sender untouched and running), so each retry
+/// restarts from a clean sender. On success the migrated OS is rebound to
+/// `to`'s plumbing and the two nodes swap active kernels.
+bool migrate_leg(ArcReport& r, const DependConfig& cfg, const char* label,
+                 Node& from, Node& to, core::FaultInjected* last) {
+  core::Mercury& fm = from.mercury();
+  core::Mercury& tm = to.mercury();
+  vmm::MigrationStats stats;
+  bool ok;
+  {
+    ContentDirtyScope content(from);
+    vmm::MigrationConfig mig = cfg.migration;
+    mig.harvest_content_dirty = [&content](std::vector<hw::Pfn>& o) {
+      content.harvest(o);
+    };
+    ok = run_service_step(
+        r, cfg, label,
+        [&] {
+          stats = vmm::LiveMigration::run(fm.hypervisor(), fm.guest_vo().dom(),
+                                          tm.hypervisor(), mig);
+          return stats.success;
+        },
+        last);
+  }
+  if (!ok) return false;
+  r.pages_sent += stats.pages_sent;
+  r.pages_total += stats.pages_total;
+  r.precopy_rounds += stats.rounds;
+  r.downtime_cycles += stats.downtime_cycles;
+  tm.guest_vo().bind(stats.new_domain);
+  kernel::Kernel& guest = from.active();
+  guest.set_ops(tm.guest_vo());
+  from.set_active(&to.active());
+  to.set_active(&guest);
+  return true;
+}
+
+/// The migrate and evacuate arcs' opening: the receiver goes
+/// partial-virtual first, so its driver domain hosts the split-I/O
+/// backends the migrated frontends reconnect to (§5.2); the source goes
+/// full-virtual; the OS leaves over the outbound leg. `s0` marks the start
+/// of the service phase. Returns true with the OS on dst. Otherwise the
+/// failure is already resolved: an attach that never committed, or a leg
+/// that kept failing (source rolled back, both nodes native), quarantines.
+bool depart(ArcReport& r, const DependConfig& cfg, Node& src, Node& dst,
+            core::SwitchSupervisor& ssup, core::SwitchSupervisor& dsup,
+            hw::Cycles& s0, core::FaultInjected* last) {
+  if (!dsup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+    quarantine(r, dst, "receiver attach never committed", last);
+    return false;
+  }
+  if (!ssup.switch_now(ExecMode::kFullVirtual, cfg.switch_budget)) {
+    quarantine(r, src, "source attach never committed", last);
+    dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+    return false;
+  }
+  r.attach_cycles = src.mercury().engine().stats().last_attach_cycles;
+  s0 = src.machine().max_cpu_time();
+  if (migrate_leg(r, cfg, "migrate.out", src, dst, last)) return true;
+  // Every attempt rolled the source back; both nodes come home.
+  r.rolled_back = true;
+  r.service_cycles = src.machine().max_cpu_time() - s0;
+  ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
+  dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+  quarantine(r, src, "outbound migration kept failing; source rolled back",
+             last);
+  return false;
+}
+
+/// Heal mode for the length of one self-heal arc: off again on every exit,
+/// so a quarantined attach cannot leave the hypervisor repairing tables
+/// instead of enforcing isolation.
+class HealModeScope {
+ public:
+  explicit HealModeScope(vmm::Hypervisor& hv) : hv_(hv) {
+    hv_.set_heal_mode(true);
+  }
+  ~HealModeScope() { hv_.set_heal_mode(false); }
+  HealModeScope(const HealModeScope&) = delete;
+  HealModeScope& operator=(const HealModeScope&) = delete;
+
+ private:
+  vmm::Hypervisor& hv_;
+};
+
 }  // namespace
 
 ArcReport live_update_arc(Node& node, const KernelPatch& patch,
@@ -296,10 +392,8 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
     obs::PauseLedgerScope scope(ledger);
     core::Mercury& sm = src.mercury();
     core::Mercury& dm = dst.mercury();
-    core::SupervisorConfig dcfg = cfg.supervisor;
-    dcfg.seed = cfg.supervisor.seed * 0x9E3779B97F4A7C15ull + 1;  // own jitter
     core::SwitchSupervisor ssup(sm.engine(), cfg.supervisor);
-    core::SwitchSupervisor dsup(dm.engine(), dcfg);
+    core::SwitchSupervisor dsup(dm.engine(), receiver_supervisor(cfg));
     const hw::Cycles t0 = src.machine().max_cpu_time();
     core::FaultInjected last{};
     // When the OS ends the arc away from home (homeward leg abandoned),
@@ -307,114 +401,38 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
     // invariant sweep that assumes every kernel is back on its own machine.
     bool guest_home = true;
 
-    // Receiver first: partial-virtual, so its driver domain hosts the
-    // split-I/O backends the migrated frontends reconnect to (§5.2).
-    if (!dsup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
-      quarantine(r, dst, "receiver attach never committed", &last);
-    } else if (!ssup.switch_now(ExecMode::kFullVirtual, cfg.switch_budget)) {
-      quarantine(r, src, "source attach never committed", &last);
-      dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
-    } else {
-      r.attach_cycles = sm.engine().stats().last_attach_cycles;
-      const hw::Cycles s0 = src.machine().max_cpu_time();
+    hw::Cycles s0 = 0;
+    if (depart(r, cfg, src, dst, ssup, dsup, s0, &last)) {
+      // Service phase: the OS runs on the receiver, frontends already
+      // reconnected by the migration's activation step.
+      sm.kernel().run_for(cfg.service_run);
 
-      // Outbound leg. A mid-stream fault unwinds inside LiveMigration
-      // (destination reservation dropped, source untouched and running),
-      // so each retry restarts from a clean source.
-      vmm::MigrationStats out;
-      bool ok;
-      {
-        ContentDirtyScope content(src);
-        vmm::MigrationConfig mig = cfg.migration;
-        mig.harvest_content_dirty = [&content](std::vector<hw::Pfn>& o) {
-          content.harvest(o);
-        };
-        ok = run_service_step(
-            r, cfg, "migrate.out",
-            [&] {
-              out = vmm::LiveMigration::run(sm.hypervisor(),
-                                            sm.guest_vo().dom(),
-                                            dm.hypervisor(), mig);
-              return out.success;
-            },
-            &last);
-      }
-      if (!ok) {
-        // Every attempt rolled the source back; both nodes come home.
-        r.rolled_back = true;
-        r.service_cycles = src.machine().max_cpu_time() - s0;
-        ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
-        dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
-        quarantine(r, src,
-                   "outbound migration kept failing; source rolled back",
+      // Homeward leg, content tracker now on the receiver's machine.
+      const bool home = migrate_leg(r, cfg, "migrate.back", dst, src, &last);
+      r.service_cycles = src.machine().max_cpu_time() - s0;
+      if (!home) {
+        // The OS stays on the receiver: consistent and serving, but the
+        // arc could not bring it home. Clean quarantine; modes stay as
+        // they are (the receiver keeps hosting).
+        guest_home = false;
+        quarantine(r, dst,
+                   "homeward migration kept failing; OS remains on the "
+                   "receiver",
                    &last);
       } else {
-        r.pages_sent += out.pages_sent;
-        r.pages_total += out.pages_total;
-        r.precopy_rounds += out.rounds;
-        r.downtime_cycles += out.downtime_cycles;
-        // Rebind the migrated OS to the destination's plumbing and swap
-        // the nodes' active-kernel roles.
-        dm.guest_vo().bind(out.new_domain);
-        sm.kernel().set_ops(dm.guest_vo());
-        src.set_active(&dm.kernel());
-        dst.set_active(&sm.kernel());
-        // Service phase: the OS runs on the receiver, frontends already
-        // reconnected by the migration's activation step.
-        sm.kernel().run_for(cfg.service_run);
-
-        // Homeward leg, content tracker now on the receiver's machine.
-        vmm::MigrationStats back;
-        bool home;
-        {
-          ContentDirtyScope content(dst);
-          vmm::MigrationConfig mig = cfg.migration;
-          mig.harvest_content_dirty = [&content](std::vector<hw::Pfn>& o) {
-            content.harvest(o);
-          };
-          home = run_service_step(
-              r, cfg, "migrate.back",
-              [&] {
-                back = vmm::LiveMigration::run(dm.hypervisor(),
-                                               dm.guest_vo().dom(),
-                                               sm.hypervisor(), mig);
-                return back.success;
-              },
-              &last);
-        }
-        r.service_cycles = src.machine().max_cpu_time() - s0;
-        if (!home) {
-          // The OS stays on the receiver: consistent and serving, but the
-          // arc could not bring it home. Clean quarantine; modes stay as
-          // they are (the receiver keeps hosting).
-          guest_home = false;
-          quarantine(r, dst,
-                     "homeward migration kept failing; OS remains on the "
-                     "receiver",
-                     &last);
+        const bool sn = ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
+        const bool dn = dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+        if (sn) r.detach_cycles = sm.engine().stats().last_detach_cycles;
+        if (sn && dn) {
+          r.verified = !src.hosts_foreign_guest() &&
+                       !dst.hosts_foreign_guest() &&
+                       sm.mode() == ExecMode::kNative &&
+                       dm.mode() == ExecMode::kNative;
+          r.success = r.verified;
+          if (!r.verified)
+            quarantine(r, src, "round trip left a node mis-homed", &last);
         } else {
-          r.pages_sent += back.pages_sent;
-          r.pages_total += back.pages_total;
-          r.precopy_rounds += back.rounds;
-          r.downtime_cycles += back.downtime_cycles;
-          sm.guest_vo().bind(back.new_domain);
-          sm.kernel().set_ops(sm.guest_vo());
-          src.set_active(&sm.kernel());
-          dst.set_active(&dm.kernel());
-          const bool sn = ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
-          const bool dn = dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
-          if (sn) r.detach_cycles = sm.engine().stats().last_detach_cycles;
-          if (sn && dn) {
-            r.verified = !src.hosts_foreign_guest() &&
-                         !dst.hosts_foreign_guest() &&
-                         sm.mode() == ExecMode::kNative &&
-                         dm.mode() == ExecMode::kNative;
-            r.success = r.verified;
-            if (!r.verified)
-              quarantine(r, src, "round trip left a node mis-homed", &last);
-          } else {
-            quarantine(r, src, "post-service detach never committed", &last);
-          }
+          quarantine(r, src, "post-service detach never committed", &last);
         }
       }
     }
@@ -427,6 +445,88 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
     }
   }
   fold_pauses(r, ledger);
+  return r;
+}
+
+ArcReport evacuate_arc(Node& src, Node& dst, const DependConfig& cfg) {
+  ArcReport r;
+  r.service = "evacuate";
+  obs::PauseLedger ledger;
+  {
+    obs::PauseLedgerScope scope(ledger);
+    core::SwitchSupervisor ssup(src.mercury().engine(), cfg.supervisor);
+    core::SwitchSupervisor dsup(dst.mercury().engine(),
+                                receiver_supervisor(cfg));
+    const hw::Cycles t0 = src.machine().max_cpu_time();
+    core::FaultInjected last{};
+
+    hw::Cycles s0 = 0;
+    const bool away = depart(r, cfg, src, dst, ssup, dsup, s0, &last);
+    // Safety is the OS running on the healthy node, so an evacuation ends
+    // on that node's clock: the migration advanced it to the sender's
+    // before charging the guest's admission there.
+    const hw::Cycles safe_at = away ? dst.machine().max_cpu_time()
+                                    : src.machine().max_cpu_time();
+    if (away) {
+      r.service_cycles = safe_at - s0;
+      // Both nodes stay virtualized: the healthy one keeps hosting the OS.
+      r.verified = dst.hosts_foreign_guest();
+      r.success = r.verified;
+    }
+    r.window_cycles = safe_at - t0;
+    fold_supervisor(r, ssup);
+    fold_supervisor(r, dsup);
+    // The native-mode sweep only applies when the OS is still at home.
+    if (!away) {
+      fold_invariants(r, src.mercury().engine(), cfg.check_invariants);
+      fold_invariants(r, dst.mercury().engine(), cfg.check_invariants);
+    }
+  }
+  fold_pauses(r, ledger);
+  return r;
+}
+
+ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
+  ArcReport r;
+  r.service = "self-heal";
+  obs::PauseLedger ledger;
+  {
+    obs::PauseLedgerScope scope(ledger);
+    core::Mercury& m = node.mercury();
+    core::SwitchSupervisor sup(m.engine(), cfg.supervisor);
+    hw::Cpu& cpu = node.machine().cpu(0);
+    const hw::Cycles t0 = cpu.now();
+    core::FaultInjected last{};
+    const std::uint64_t crashed_before = m.hypervisor().stats().domains_crashed;
+    {
+      HealModeScope heal(m.hypervisor());
+      // Adoption validates every page table; heal mode repairs tainted
+      // entries instead of crashing the domain (paper §6.2: the VMM
+      // "repairs the tainted state").
+      if (!sup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+        quarantine(r, node, "attach never committed", &last);
+      } else {
+        r.attach_cycles = m.engine().stats().last_attach_cycles;
+        if (sup.switch_now(ExecMode::kNative, cfg.switch_budget))
+          r.detach_cycles = m.engine().stats().last_detach_cycles;
+        else
+          quarantine(r, node, "detach never committed", &last);
+      }
+    }
+    r.window_cycles = cpu.now() - t0;
+    fold_supervisor(r, sup);
+    fold_invariants(r, m.engine(), cfg.check_invariants);
+    if (!r.quarantined) {
+      r.verified = m.hypervisor().stats().domains_crashed == crashed_before &&
+                   r.invariant_violations == 0;
+      r.success = r.verified;
+      if (!r.verified)
+        quarantine(r, node, "repair left a crashed domain or broken invariants",
+                   &last);
+    }
+  }
+  fold_pauses(r, ledger);
+  r.downtime_cycles = r.pause_rendezvous_cycles;
   return r;
 }
 

@@ -1,8 +1,9 @@
-// Dependability arcs: the paper's payoff scenarios driven end-to-end as
+// Dependability arcs: the paper's §6 services driven end-to-end as
 // *supervised* native → attach → service → detach → native stories, every
-// failure mode survivable (ISSUE/ROADMAP item 3).
+// failure mode survivable. They are the one orchestration layer for §6:
+// examples, benches and tests all run the services through these arcs.
 //
-// Three arcs, in increasing ambition:
+// Five arcs:
 //
 //   live-update         attach, quiesce + patch the kernel, detach (§6.4)
 //   checkpoint-restart  attach, snapshot, diverge, restore, verify, detach
@@ -10,6 +11,9 @@
 //                       surface: a fault mid-write-back triggers supervised
 //                       retry → undo-snapshot rollback → quarantine, never
 //                       a half-restored machine
+//   self-heal           attach in heal mode (adoption repairs tainted page
+//                       tables instead of crashing the domain), detach
+//                       (§6.2)
 //   migrate             two fabric nodes; the loaded OS goes full-virtual,
 //                       live-migrates out over iterative pre-copy (riding
 //                       the warm-reattach DirtyFrameTracker for
@@ -18,31 +22,45 @@
 //                       home, and both nodes return to native (§6.3). A
 //                       mid-stream fault aborts the transfer and rolls the
 //                       source back; the arc retries the whole leg.
+//   evacuate            the migrate arc's outbound leg alone: the OS leaves
+//                       a node whose failure is predicted and stays on the
+//                       receiver (§6.5)
 //
-// Every mode switch goes through a scoped SwitchSupervisor (retry/backoff/
-// quarantine), every service step runs under its own retry → rollback →
-// quarantine ladder catching core::FaultInjected, and the whole arc is
-// measured as a *dependability window*: total cycles native-to-native,
-// decomposed via the ambient pause ledger into service phases. bench_depend
-// serializes the result as mercury.depend.v1 and CI gates it.
+// migrate and evacuate share one migration leg (sender → receiver, rebind,
+// swap the nodes' active kernels). Every mode switch goes through a scoped
+// SwitchSupervisor (retry/backoff/quarantine), every service step runs
+// under its own retry → rollback → quarantine ladder catching
+// core::FaultInjected, and the whole arc is measured as a *dependability
+// window*: total cycles native-to-native, decomposed via the ambient pause
+// ledger into service phases. bench_depend serializes the live-update,
+// checkpoint-restart and migrate arcs as mercury.depend.v1 and CI gates it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "cluster/node.hpp"
-#include "cluster/scenarios.hpp"
 #include "core/switch_supervisor.hpp"
 #include "vmm/migrate.hpp"
 
 namespace mercury::cluster {
 
+/// A §6.4 kernel update: what the attached VMM applies while the kernel is
+/// quiesced.
+struct KernelPatch {
+  std::string description;
+  std::function<void(kernel::Kernel&)> apply_fn;
+  hw::Cycles patch_work = 150 * hw::kCyclesPerMicrosecond;  // redirection setup
+};
+
 struct DependConfig {
   /// Supervisor settings for the arc-scoped switch supervisors.
   core::SupervisorConfig supervisor;
-  /// Migration tuning for the migrate arc (harvest_content_dirty is wired
-  /// by the arc itself; anything set here is overridden).
+  /// Migration tuning for the migrate and evacuate arcs
+  /// (harvest_content_dirty is wired by the arc itself; anything set here
+  /// is overridden).
   vmm::MigrationConfig migration;
   /// Retry budget for the service step (capture, restore, one migration
   /// leg). Exhaustion escalates to rollback + quarantine.
@@ -62,7 +80,8 @@ struct DependConfig {
 /// verified) or quarantined (service abandoned *cleanly*: state rolled
 /// back or left consistent, postmortem written) — never neither.
 struct ArcReport {
-  std::string service;  // "live-update" | "checkpoint-restart" | "migrate"
+  std::string service;  // "live-update" | "checkpoint-restart" |
+                        // "self-heal" | "migrate" | "evacuate"
   bool success = false;
   bool quarantined = false;
   bool rolled_back = false;  // the undo path ran (restore undo / source abort)
@@ -81,9 +100,9 @@ struct ArcReport {
   hw::Cycles attach_cycles = 0;   // last attach of the workload-bearing node
   hw::Cycles service_cycles = 0;  // service phase (attach..detach interior)
   hw::Cycles detach_cycles = 0;
-  /// Guest-frozen downtime inside the window: stop-and-copy for migrate,
-  /// capture+restore copy windows for checkpoint, rendezvous parking for
-  /// live-update.
+  /// Guest-frozen downtime inside the window: stop-and-copy for migrate
+  /// and evacuate, capture+restore copy windows for checkpoint, rendezvous
+  /// parking for live-update and self-heal.
   hw::Cycles downtime_cycles = 0;
 
   // Pause-ledger decomposition of the window (cycles per cause).
@@ -95,7 +114,7 @@ struct ArcReport {
   hw::Cycles pause_backoff_cycles = 0;
   hw::Cycles pause_rollback_cycles = 0;
 
-  // Migrate-arc specifics (zero elsewhere).
+  // Migrate/evacuate specifics (zero elsewhere).
   std::uint64_t pages_sent = 0;
   std::uint64_t pages_total = 0;
   std::uint64_t precopy_rounds = 0;
@@ -124,8 +143,24 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg = {});
 /// by LiveMigration's unwind) and the arc retries the leg.
 ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg = {});
 
-/// The bench_depend document: one run = the three arcs under one fault
-/// regime (rate 0 = clean).
+/// §6.5: react to a failure prediction on src. dst goes partial-virtual,
+/// src goes full-virtual, and the OS migrates to dst and stays there
+/// (success = dst hosts it; the nodes keep their virtual modes). An
+/// outbound leg that keeps failing rolls the source back, returns both
+/// nodes native and quarantines. window_cycles runs from the prediction
+/// (the call, on src's clock) to safety (the OS admitted on dst, on dst's
+/// clock); downtime_cycles is the leg's stop-and-copy.
+ArcReport evacuate_arc(Node& src, Node& dst, const DependConfig& cfg = {});
+
+/// §6.2: attach with the hypervisor in heal mode, so adoption's page-table
+/// validation repairs tainted entries instead of crashing the domain, then
+/// detach. Heal mode is on for this arc only. verified = no domain crashed
+/// and the machine invariants hold; the repair count is the hypervisor's
+/// stats().entries_healed.
+ArcReport self_heal_arc(Node& node, const DependConfig& cfg = {});
+
+/// The bench_depend document: one run = the live-update, checkpoint-restart
+/// and migrate arcs under one fault regime (rate 0 = clean).
 struct DependReport {
   std::uint64_t seed = 0;
   double storm_rate = 0.0;

@@ -1,5 +1,6 @@
 // Failure injection for dependability scenarios: sensor anomalies (the
-// §6.5 failure-prediction signal), link failures, and node crashes.
+// §6.5 failure-prediction signal), link failures, node crashes, and the
+// kernel-state taint §6.2's self-heal repairs.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,11 @@ class FailureInjector {
   /// Degrade the link between two nodes.
   static void set_link_loss(Fabric& fabric, Node& a, Node& b,
                             double drop_probability);
+
+  /// Corrupt one present user PTE of `pid` so it points at a
+  /// hypervisor-owned frame (the kind of kernel-state taint §6.2 targets).
+  /// Returns true if an entry was corrupted.
+  static bool corrupt_user_pte(core::Mercury& mercury, kernel::Pid pid);
 };
 
 }  // namespace mercury::cluster

@@ -1,9 +1,12 @@
-// Cluster fabric + the paper's §6 scenarios as integration tests.
+// Cluster fabric + the paper's §6 services (run as dependability arcs) as
+// integration tests.
 #include <gtest/gtest.h>
 
+#include "cluster/availability.hpp"
+#include "cluster/depend.hpp"
 #include "cluster/failure.hpp"
-#include "cluster/scenarios.hpp"
 #include "kernel/syscalls.hpp"
+#include "vmm/checkpoint.hpp"
 
 namespace mercury::testing {
 namespace {
@@ -80,17 +83,18 @@ TEST(ScenarioTest, OnlineMaintenancePreservesWorkload) {
   });
   a.mercury().kernel().run_for(5 * hw::kCyclesPerMillisecond);
   const long before = counter;
-  bool maintained = false;
-  const auto report = cluster::online_maintenance(
-      a, b, [&](hw::Machine&) { maintained = true; });
+  // The maintenance round trip: out to b, serve there while a sits empty,
+  // and home again.
+  const auto report = cluster::migrate_arc(a, b);
   ASSERT_TRUE(report.success);
-  EXPECT_TRUE(maintained);
+  EXPECT_GT(counter, before) << "the workload served while a was empty";
   EXPECT_EQ(a.mercury().mode(), core::ExecMode::kNative);
   EXPECT_EQ(b.mercury().mode(), core::ExecMode::kNative);
-  EXPECT_LT(report.service_downtime(), report.total_cycles / 100)
+  EXPECT_LT(report.downtime_cycles, report.window_cycles / 100)
       << "downtime is two stop-and-copy windows, not the whole procedure";
+  const long after = counter;
   a.mercury().kernel().run_for(5 * hw::kCyclesPerMillisecond);
-  EXPECT_GT(counter, before);
+  EXPECT_GT(counter, after);
 }
 
 TEST(ScenarioTest, SensorPredictionTriggersEvacuation) {
@@ -112,10 +116,10 @@ TEST(ScenarioTest, SensorPredictionTriggersEvacuation) {
                                             5 * hw::kCyclesPerMillisecond);
   ASSERT_TRUE(a.mercury().kernel().run_until([&] { return predicted; },
                                              100 * hw::kCyclesPerMillisecond));
-  const auto ev = cluster::evacuate(a, b);
+  const auto ev = cluster::evacuate_arc(a, b);
   ASSERT_TRUE(ev.success);
   EXPECT_TRUE(b.hosts_foreign_guest());
-  EXPECT_GT(ev.prediction_to_safety(), 0u);
+  EXPECT_GT(ev.window_cycles, 0u);
 }
 
 TEST(ScenarioTest, LiveUpdatePatchesWithoutRestartAndDetaches) {
@@ -128,14 +132,15 @@ TEST(ScenarioTest, LiveUpdatePatchesWithoutRestartAndDetaches) {
   patch.apply_fn = [](kernel::Kernel& k) {
     k.set_selector_fixup_enabled(true);
   };
-  const auto report = cluster::live_update(m, patch);
+  const auto report = cluster::live_update_arc(n, patch);
   ASSERT_TRUE(report.success);
   EXPECT_TRUE(m.kernel().selector_fixup_enabled());
   EXPECT_EQ(m.mode(), core::ExecMode::kNative);
   EXPECT_GT(report.attach_cycles, 0u);
   EXPECT_GT(report.detach_cycles, 0u);
-  EXPECT_GE(report.total_cycles,
-            report.attach_cycles + report.patch_cycles + report.detach_cycles);
+  EXPECT_GE(report.window_cycles, report.attach_cycles +
+                                      report.service_cycles +
+                                      report.detach_cycles);
 }
 
 TEST(ScenarioTest, SelfHealRepairsInjectedCorruption) {
@@ -153,10 +158,14 @@ TEST(ScenarioTest, SelfHealRepairsInjectedCorruption) {
     }
   });
   m.kernel().run_for(5 * hw::kCyclesPerMillisecond);
-  ASSERT_TRUE(cluster::inject_pte_corruption(m, pid));
-  const auto report = cluster::self_heal(m);
-  EXPECT_TRUE(report.ran);
-  EXPECT_GE(report.entries_healed, 1u);
+  ASSERT_TRUE(FailureInjector::corrupt_user_pte(m, pid));
+  const std::uint64_t healed_before = m.hypervisor().stats().entries_healed;
+  const auto report = cluster::self_heal_arc(n);
+  EXPECT_TRUE(report.success);
+  EXPECT_TRUE(report.verified);
+  EXPECT_FALSE(m.hypervisor().heal_mode())
+      << "heal mode is on for the arc only";
+  EXPECT_GE(m.hypervisor().stats().entries_healed - healed_before, 1u);
   EXPECT_EQ(m.hypervisor().stats().domains_crashed, 0u);
   alive = false;
   m.kernel().run_for(10 * hw::kCyclesPerMillisecond);
@@ -174,7 +183,7 @@ TEST(ScenarioTest, WithoutHealingTheCorruptionCrashesTheAttach) {
     for (;;) co_await s.sleep_us(2000.0);
   });
   m.kernel().run_for(5 * hw::kCyclesPerMillisecond);
-  ASSERT_TRUE(cluster::inject_pte_corruption(m, pid));
+  ASSERT_TRUE(FailureInjector::corrupt_user_pte(m, pid));
   // A plain attach (no heal mode) must detect the taint and crash the
   // domain rather than enforce isolation on a corrupt table.
   ASSERT_TRUE(m.switch_to(core::ExecMode::kPartialVirtual));
@@ -198,9 +207,17 @@ TEST(ScenarioTest, CheckpointThenRestoreRecoversAppValue) {
   cpu.write_cr3(t->aspace->page_directory());
   n.machine().mmu().write_u32(cpu, page, 0x600DF00D);
 
-  auto ckpt = cluster::checkpoint_os(m);
+  // An outside overwrite between checkpoint and restore needs the bare
+  // primitives: checkpoint_restart_arc's divergence is guest execution,
+  // which cannot store a chosen word.
+  ASSERT_TRUE(m.switch_to(core::ExecMode::kPartialVirtual));
+  const vmm::Snapshot snap =
+      vmm::Checkpointer::take(cpu, m.hypervisor(), m.driver_vo().dom());
+  ASSERT_TRUE(m.switch_to(core::ExecMode::kNative));
   n.machine().mmu().write_u32(cpu, page, 0xDEAD0000);
-  cluster::restore_os(m, ckpt.snapshot);
+  ASSERT_TRUE(m.switch_to(core::ExecMode::kPartialVirtual));
+  vmm::Checkpointer::restore(cpu, m.hypervisor(), snap);
+  ASSERT_TRUE(m.switch_to(core::ExecMode::kNative));
   cpu.set_cpl(hw::Ring::kRing0);
   cpu.write_cr3(t->aspace->page_directory());
   cpu.tlb().flush_global();

@@ -14,6 +14,10 @@
 //                 rows additionally roll back to the undo image)
 //   uniform 5%    the acceptance storm over every site at once, seeded —
 //                 the dichotomy must hold for all three arcs
+//
+// The evacuate and self-heal arcs get their own rows at the end: evacuate
+// shares the migrate arc's outbound leg, and self-heal must never leave
+// heal mode on after an attach that could not commit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -230,6 +234,116 @@ TEST(DependFaultMatrix, UniformStormUpholdsTheDichotomy) {
     }
     core::fault_injector().stop_storm();
   }
+}
+
+/// A fabric pair for the evacuate rows: src carries a dirtier and a
+/// progress counter, so "the guest still runs on src" is observable.
+struct EvacuationPair {
+  EvacuationPair() {
+    src = &f.add_node("src", small_node_config());
+    dst = &f.add_node("dst", small_node_config());
+    f.connect(*src, *dst);
+    src->mercury().kernel().spawn("counter", [this](Sys& s) -> Sub<void> {
+      for (;;) {
+        co_await s.compute_us(200.0);
+        ++progress;
+      }
+    });
+    spawn_dirtier(*src);
+  }
+  cluster::Fabric f;
+  cluster::Node* src = nullptr;
+  cluster::Node* dst = nullptr;
+  long progress = 0;
+};
+
+TEST(DependFaultMatrix, EvacuateRetriesASingleShotStreamFault) {
+  InjectorGuard guard;
+  DependConfig cfg;
+  cfg.supervisor.seed = test_seed(0xD3F40004ull);
+  cfg.supervisor.backoff_base_ms = 0.5;
+  EvacuationPair p;
+
+  FaultPlan plan;
+  plan.site = FaultSite::kMigrateStream;
+  plan.kind = FaultKind::kFail;
+  plan.trigger_count = 1000;
+  core::fault_injector().arm(plan);
+  const ArcReport r = cluster::evacuate_arc(*p.src, *p.dst, cfg);
+  core::fault_injector().disarm();
+
+  expect_dichotomy(r, "evacuate single-shot migrate.stream");
+  EXPECT_TRUE(r.success) << "retry did not recover";
+  EXPECT_TRUE(r.verified);
+  EXPECT_GE(r.faults, 1u);
+  EXPECT_GE(r.retries, 1u) << "a fired fault must cost at least one retry";
+  EXPECT_FALSE(r.rolled_back);
+  EXPECT_TRUE(p.dst->hosts_foreign_guest());
+  EXPECT_GT(r.downtime_cycles, 0u);
+  EXPECT_GT(r.window_cycles, r.service_cycles);
+}
+
+TEST(DependFaultMatrix, EvacuateUnderAPersistentStreamStormRollsBack) {
+  InjectorGuard guard;
+  DependConfig cfg;
+  cfg.supervisor.seed = test_seed(0xD3F40005ull);
+  cfg.supervisor.backoff_base_ms = 0.5;
+  cfg.service_max_attempts = 3;
+  EvacuationPair p;
+
+  FaultStorm storm;
+  storm.rate[static_cast<std::size_t>(FaultSite::kMigrateStream)] = 1.0;
+  storm.max_trigger_depth = 4;
+  storm.seed = cfg.supervisor.seed;
+  core::fault_injector().arm_storm(storm);
+  const ArcReport r = cluster::evacuate_arc(*p.src, *p.dst, cfg);
+  core::fault_injector().stop_storm();
+
+  expect_dichotomy(r, "evacuate persistent migrate.stream");
+  EXPECT_FALSE(r.success) << "a rate-1.0 storm cannot succeed";
+  EXPECT_TRUE(r.quarantined);
+  EXPECT_TRUE(r.rolled_back);
+  EXPECT_FALSE(r.postmortem_path.empty());
+  EXPECT_EQ(r.stranded_requests, 0u);
+  EXPECT_GE(r.faults, cfg.service_max_attempts);
+  // The source was rolled back: the OS is home, on its own machine, and
+  // both nodes are native again.
+  EXPECT_FALSE(p.src->hosts_foreign_guest());
+  EXPECT_FALSE(p.dst->hosts_foreign_guest());
+  EXPECT_EQ(&p.src->mercury().kernel().machine(), &p.src->machine());
+  EXPECT_EQ(p.src->mercury().mode(), core::ExecMode::kNative);
+  EXPECT_EQ(p.dst->mercury().mode(), core::ExecMode::kNative);
+  const long before = p.progress;
+  p.src->mercury().kernel().run_for(5 * hw::kCyclesPerMillisecond);
+  EXPECT_GT(p.progress, before) << "the guest keeps running on src";
+}
+
+TEST(DependFaultMatrix, SelfHealLeavesHealModeOffWhenTheAttachNeverCommits) {
+  InjectorGuard guard;
+  DependConfig cfg;
+  cfg.supervisor.seed = test_seed(0xD3F40006ull);
+  cfg.supervisor.backoff_base_ms = 0.5;
+  cluster::Fabric f;
+  cluster::Node& n = f.add_node("heal", small_node_config());
+  spawn_dirtier(n);
+
+  // Every attach attempt faults in the page-info rebuild: the supervisor
+  // exhausts its retries and the arc quarantines before detaching.
+  FaultStorm storm;
+  storm.rate[static_cast<std::size_t>(FaultSite::kAdoptRebuild)] = 1.0;
+  storm.max_trigger_depth = 4;
+  storm.seed = cfg.supervisor.seed;
+  core::fault_injector().arm_storm(storm);
+  const ArcReport r = cluster::self_heal_arc(n, cfg);
+  core::fault_injector().stop_storm();
+
+  expect_dichotomy(r, "self-heal persistent adopt.rebuild");
+  EXPECT_FALSE(r.success);
+  EXPECT_TRUE(r.quarantined);
+  EXPECT_EQ(r.attach_cycles, 0u) << "the attach must never have committed";
+  EXPECT_FALSE(n.mercury().hypervisor().heal_mode())
+      << "a quarantined attach left heal mode on";
+  EXPECT_EQ(n.mercury().mode(), core::ExecMode::kNative);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Live migration + checkpoint/restore correctness.
 #include <gtest/gtest.h>
 
-#include "cluster/scenarios.hpp"
+#include "cluster/depend.hpp"
+#include "cluster/fabric.hpp"
 #include "kernel/syscalls.hpp"
 #include "vmm/checkpoint.hpp"
 #include "vmm/migrate.hpp"
@@ -48,7 +49,7 @@ TEST(MigrationTest, GuestMemoryContentsArriveBitExact) {
   const hw::Pfn old_frame = pte->pfn();
   t.a->machine().memory().write_u32(hw::addr_of(old_frame) + 128, 0x5EC0FFEE);
 
-  const auto ev = cluster::evacuate(*t.a, *t.b);
+  const auto ev = cluster::evacuate_arc(*t.a, *t.b);
   ASSERT_TRUE(ev.success);
 
   // Same kernel object, new machine + frames: content must have traveled.
@@ -81,7 +82,7 @@ TEST(MigrationTest, GuestKeepsRunningAfterMigration) {
   const long before = counter;
   ASSERT_GT(before, 0);
 
-  const auto ev = cluster::evacuate(*t.a, *t.b);
+  const auto ev = cluster::evacuate_arc(*t.a, *t.b);
   ASSERT_TRUE(ev.success);
   t.a->mercury().kernel().run_for(10 * hw::kCyclesPerMillisecond);
   EXPECT_GT(counter, before);
@@ -117,7 +118,7 @@ TEST(MigrationTest, DirtyPagesTriggerExtraRounds) {
 TEST(MigrationTest, SourceFramesAreFreedAfterMigration) {
   TwoNodes t;
   const std::size_t free_before = t.a->machine().frames().frames_free();
-  const auto ev = cluster::evacuate(*t.a, *t.b);
+  const auto ev = cluster::evacuate_arc(*t.a, *t.b);
   ASSERT_TRUE(ev.success);
   EXPECT_GT(t.a->machine().frames().frames_free(), free_before);
 }
@@ -161,8 +162,11 @@ TEST(CheckpointTest, SnapshotCapturesVcpuState) {
   core::MercuryConfig cfg;
   cfg.kernel_frames = (48ull * 1024 * 1024) / hw::kPageSize;
   core::Mercury mercury(machine, cfg);
-  auto ckpt = cluster::checkpoint_os(mercury);
-  EXPECT_EQ(ckpt.snapshot.vcpus.size(), machine.num_cpus());
+  ASSERT_TRUE(mercury.switch_to(core::ExecMode::kPartialVirtual));
+  const vmm::Snapshot snap = vmm::Checkpointer::take(
+      machine.cpu(0), mercury.hypervisor(), mercury.driver_vo().dom());
+  ASSERT_TRUE(mercury.switch_to(core::ExecMode::kNative));
+  EXPECT_EQ(snap.vcpus.size(), machine.num_cpus());
 }
 
 }  // namespace
