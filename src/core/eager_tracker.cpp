@@ -8,24 +8,16 @@ using vmm::PageInfo;
 using vmm::PageType;
 
 void EagerTrackingVo::prime(hw::Cpu& cpu, kernel::Kernel& k) {
-  vmm::Domain& d = hv_.domain(dom_);
-  hv_.rebuild_page_info(cpu, d);
+  vmm::CpuRunner on_cpu(cpu);
+  hv_.rebuild(cpu, on_cpu, dom_, k, vmm::Hypervisor::RebuildPlan{});
   // Type the page tables without write-protecting them (the VMM is dormant;
   // protection is applied only when it activates).
-  auto type_as = [&](hw::Pfn pfn, PageType type) {
+  for (const auto& [pfn, type] : hv_.collect_tables(k)) {
     PageInfo& pi = hv_.page_info().at(pfn);
     pi.type = type;
     pi.pinned = true;
     pi.type_count = 1;
-  };
-  for (const hw::Pfn l1 : k.kernel_l1_frames()) type_as(l1, PageType::kL1);
-  type_as(k.kernel_pd(), PageType::kL2);
-  k.for_each_task([&](kernel::Task& t) {
-    if (!t.aspace) return;
-    for (const hw::Pfn pt : t.aspace->page_table_frames())
-      type_as(pt, pt == t.aspace->page_directory() ? PageType::kL2
-                                                   : PageType::kL1);
-  });
+  }
   hv_.page_info().set_valid(true);
 }
 

@@ -12,18 +12,22 @@ namespace mercury::core {
 
 namespace {
 
-/// Every page-table frame of `k` — the same forest type_and_protect_tables
-/// walks: kernel L1s, kernel PD, and each task's PD + L1s.
-std::vector<hw::Pfn> all_page_table_frames(kernel::Kernel& k) {
-  std::vector<hw::Pfn> frames(k.kernel_l1_frames());
-  frames.push_back(k.kernel_pd());
-  k.for_each_task([&](kernel::Task& t) {
-    if (!t.aspace) return;
-    const auto pts = t.aspace->page_table_frames();
-    frames.insert(frames.end(), pts.begin(), pts.end());
+/// Every page-table frame of `k` once, sorted, with whether it is a page
+/// directory (a frame the forest lists both ways counts as one).
+std::vector<std::pair<hw::Pfn, bool>> page_table_frames(vmm::Hypervisor& hv,
+                                                        kernel::Kernel& k) {
+  std::vector<std::pair<hw::Pfn, bool>> frames;
+  for (const auto& [pfn, type] : hv.collect_tables(k))
+    frames.emplace_back(pfn, type == vmm::PageType::kL2);
+  // Sort PD entries first within a frame so unique() keeps them.
+  std::sort(frames.begin(), frames.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
   });
-  std::sort(frames.begin(), frames.end());
-  frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
+  frames.erase(std::unique(frames.begin(), frames.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               frames.end());
   return frames;
 }
 
@@ -83,7 +87,7 @@ InvariantReport check_machine_invariants(SwitchEngine& engine) {
 
   // --- page-table writability (read the direct-map PTEs directly) ---
   const auto& l1s = k.kernel_l1_frames();
-  for (const hw::Pfn pfn : all_page_table_frames(k)) {
+  for (const auto& [pfn, is_pd] : page_table_frames(hv, k)) {
     const std::size_t idx = pfn - k.base_pfn();
     const std::size_t table = idx / hw::kPtEntries;
     if (pfn < k.base_pfn() || table >= l1s.size()) {
@@ -107,15 +111,6 @@ InvariantReport check_machine_invariants(SwitchEngine& engine) {
     // enforces isolation on it.
     if (is_virtual) {
       const vmm::PageInfo& pi = hv.page_info().at(pfn);
-      const bool is_pd =
-          pfn == k.kernel_pd() ||
-          [&] {
-            bool pd = false;
-            k.for_each_task([&](kernel::Task& t) {
-              if (t.aspace && t.aspace->page_directory() == pfn) pd = true;
-            });
-            return pd;
-          }();
       const vmm::PageType want_type =
           is_pd ? vmm::PageType::kL2 : vmm::PageType::kL1;
       if (pi.type != want_type)

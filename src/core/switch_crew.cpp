@@ -43,10 +43,9 @@ void SwitchCrew::join() {
   for (hw::Cpu* m : members_) m->advance_to(maxt);
 }
 
-CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
-                                     const ShardFn& body) {
-  CrewPhaseStats stats;
-  if (items == 0) return stats;
+void SwitchCrew::run_phase(const char* name, std::size_t items,
+                           const ShardFn& body) {
+  if (items == 0) return;
 
   hw::Cpu& cp = *members_[0];
   const hw::Cycles phase_start = cp.now();
@@ -77,6 +76,8 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
       obs::registry().histogram(std::string(name) + ".phase_cycles");
 #endif
   std::vector<hw::Cycles> member_busy(members_.size(), 0);
+  hw::Cycles busy = 0;  // shard execution cycles summed over the crew
+  [[maybe_unused]] std::size_t shards = 0;  // run before the end or a fault
 
   // Earliest-finisher dispatch: each shard goes to the member whose clock
   // is lowest — the deterministic equivalent of an idle worker stealing the
@@ -103,8 +104,8 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
     }
     const hw::Cycles ran = worker.now() - t0;
     member_busy[who] += ran;
-    stats.busy += ran;
-    ++stats.shards;
+    busy += ran;
+    ++shards;
 #if MERCURY_OBS_ENABLED
     shard_hist.record(ran);
     // One grab event per shard on the *worker's* ring: the black box keeps
@@ -119,18 +120,16 @@ CrewPhaseStats SwitchCrew::run_phase(const char* name, std::size_t items,
   }
 
   join();
-  stats.span = cp.now() - phase_start;
-  busy_total_ += stats.busy;
-  span_total_ += stats.span;
-  ++phases_;
+  const hw::Cycles span = cp.now() - phase_start;  // dispatch -> join
+  busy_total_ += busy;
+  span_total_ += span;
 #if MERCURY_OBS_ENABLED
   for (const hw::Cycles b : member_busy) worker_hist.record(b);
-  phase_hist.record(stats.span);
-  MERC_COUNT_N("switch.crew.shards", stats.shards);
-  MERC_FLIGHT(cp, kCrewJoin, name, stats.shards, stats.busy, stats.span);
+  phase_hist.record(span);
+  MERC_COUNT_N("switch.crew.shards", shards);
+  MERC_FLIGHT(cp, kCrewJoin, name, shards, busy, span);
 #endif
   if (faulted != nullptr) throw fault;
-  return stats;
 }
 
 double SwitchCrew::utilization() const {

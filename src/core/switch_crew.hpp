@@ -18,23 +18,20 @@
 // the phase: the remaining shards are cancelled, the crew joins (clock
 // alignment — the workers observe the abort flag), and the fault is
 // rethrown on the control processor for the engine's rollback.
+//
+// The crew is the switch engine's PhaseRunner: the hypervisor's adopt and
+// release sequences (vmm/hypervisor.hpp) hand it each bulk phase.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "hw/machine.hpp"
+#include "vmm/phase_runner.hpp"
 
 namespace mercury::core {
 
-struct CrewPhaseStats {
-  std::size_t shards = 0;
-  hw::Cycles span = 0;  // phase wall-clock: dispatch start -> join complete
-  hw::Cycles busy = 0;  // shard execution cycles summed over the crew
-};
-
-class SwitchCrew {
+class SwitchCrew final : public vmm::PhaseRunner {
  public:
   /// The control processor plus up to `workers` rendezvous-parked helpers
   /// (clamped to the machine's other CPUs, in CPU-id order). With no
@@ -47,7 +44,7 @@ class SwitchCrew {
   std::size_t workers() const { return members_.size() - 1; }
 
   /// Shard body: run items [begin, end) on `cpu`, charging its clock.
-  using ShardFn = std::function<void(hw::Cpu&, std::size_t, std::size_t)>;
+  using ShardFn = vmm::ShardFn;
 
   /// Split [0, items) into shards and execute them across the crew with
   /// earliest-finisher (work-stealing) scheduling, then barrier-join so
@@ -57,8 +54,8 @@ class SwitchCrew {
   /// FaultInjected after the join. A crew with no helpers runs the phase
   /// as one shard on the control processor and charges no queue atoms; its
   /// telemetry has the same shape as any crew's.
-  CrewPhaseStats run_phase(const char* name, std::size_t items,
-                           const ShardFn& body);
+  void run_phase(const char* name, std::size_t items,
+                 const ShardFn& body) override;
 
   /// Busy fraction across all phases so far: shard cycles executed divided
   /// by crew-cycles available (phase spans × crew size). 1.0 = perfectly
@@ -74,7 +71,6 @@ class SwitchCrew {
   std::vector<hw::Cpu*> members_;  // members_[0] is the control processor
   hw::Cycles busy_total_ = 0;
   hw::Cycles span_total_ = 0;
-  std::size_t phases_ = 0;
 };
 
 }  // namespace mercury::core

@@ -19,7 +19,6 @@
 
 #include "core/dirty_tracker.hpp"
 #include "core/native_vo.hpp"
-#include "core/rendezvous.hpp"
 #include "core/virtual_vo.hpp"
 #include "kernel/kernel.hpp"
 #include "obs/metrics.hpp"
@@ -75,8 +74,6 @@ struct SwitchSloBudgets {
 struct SwitchConfig {
   bool eager_page_tracking = false;  // §5.1.2 alternative 1
   bool eager_selector_fixup = false; // walk tasks at switch time vs resume stub
-  RendezvousProtocol rendezvous = RendezvousProtocol::kIpiSharedVar;
-  double defer_retry_ms = 10.0;      // §5.1.1 timer interval
   bool validate_before_commit = false;  // failure-resistant switch (§8)
   /// Number of rendezvous-parked CPUs recruited as helpers for the bulk
   /// switch phases (page-info rebuild, type-and-protect, validation, eager
@@ -223,10 +220,14 @@ class SwitchEngine {
   /// Record the outcome and notify the completion hook (if installed).
   void resolve(ExecMode target, SwitchOutcome outcome);
   void register_obs_instruments();
-  /// native -> virtual and back. The bulk phases run as shards across the
-  /// rendezvous-parked crew (the CP alone when it has no helpers).
+  /// native -> virtual and back. The hypervisor runs the §5.1.2 adopt /
+  /// release sequence with the rendezvous-parked crew as its PhaseRunner
+  /// (the CP alone when it has no helpers).
   void attach(hw::Cpu& cpu, SwitchCrew& crew, ExecMode target);
   void detach(hw::Cpu& cpu, SwitchCrew& crew);
+  /// The eager selector fixup across the crew: every suspended thread's
+  /// saved kernel frames move to `ring`. Returns the cycles it took.
+  hw::Cycles eager_fixup(hw::Cpu& cpu, SwitchCrew& crew, hw::Ring ring);
   /// partial <-> full transition: re-role the virtual VO in place.
   void rerole(hw::Cpu& cpu, ExecMode target);
   bool validate_for_switch(hw::Cpu& cpu, ExecMode target);

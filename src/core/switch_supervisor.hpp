@@ -83,13 +83,10 @@ struct SupervisorConfig {
   std::uint32_t quarantine_after = 5;
   /// Quarantine recovery probe cadence (0 disables probing).
   double probe_interval_ms = 200.0;
-  bool probe_enabled = true;
-  /// Default per-request deadline, relative to submission (0 = none).
-  hw::Cycles default_deadline = 0;
 };
 
 struct RequestOptions {
-  /// Deadline relative to submission time, in cycles (0 = config default).
+  /// Deadline relative to submission time, in cycles (0 = none).
   hw::Cycles deadline = 0;
   /// Attempt budget override (0 = config default).
   std::uint32_t max_attempts = 0;

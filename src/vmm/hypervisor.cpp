@@ -204,10 +204,21 @@ bool Hypervisor::validate_l2(hw::Cpu& cpu, Domain& d, hw::Pfn table,
 
 // --- adopt / release (Mercury's heavy lifting) -----------------------------------
 //
-// The switch engine runs the range-based shard functions below across its
-// crew. The single-CPU entry points (rebuild_page_info /
-// type_and_protect_tables, and adopt_running_os around them) run one shard
-// spanning the whole range on the calling CPU, with the adopt fault points.
+// One phase sequence for every caller; the PhaseRunner decides which CPUs
+// run each phase's shards. Phase names key the switch crew's telemetry
+// (`<name>.shard_cycles`, ...); a CpuRunner ignores them.
+
+namespace {
+
+/// Fault points are named by the CPU that runs the shard: the control
+/// processor reports the adopt/release point, any other worker the shard
+/// point.
+HvFaultPoint site_for(const hw::Cpu& worker, const hw::Cpu& cp,
+                      HvFaultPoint on_cp, HvFaultPoint on_helper) {
+  return &worker == &cp ? on_cp : on_helper;
+}
+
+}  // namespace
 
 DomainId Hypervisor::begin_adopt(Kernel& k) {
   MERC_CHECK_MSG(state_ == State::kDormant, "adopt while not dormant");
@@ -232,44 +243,133 @@ void Hypervisor::init_reserved_page_info() {
   page_info_.reset_shard_counters();
 }
 
-void Hypervisor::adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
-                                     std::span<const hw::Pfn> frames,
-                                     HvFaultPoint site) {
-  if (!frames.empty())
-    MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_rebuild_shard", frames.size(),
-                frames.front(), frames.back());
-  for (const hw::Pfn pfn : frames) {
-    if (fault_probe_) fault_probe_(site, &cpu);
-    cpu.charge(pv::costs::kPerFrameInfoRebuild);
-    page_info_.at(pfn) = PageInfo{id, PageType::kWritable, 0, 1, false};
-    page_info_.note_rebuilt(pfn);
+void Hypervisor::rebuild(hw::Cpu& cp, PhaseRunner& run, DomainId id, Kernel& k,
+                         const RebuildPlan& plan) {
+  switch (plan.kind) {
+    case RebuildPlan::Kind::kAllFrames:
+    case RebuildPlan::Kind::kDirtySet: {
+      // Cold: the hypervisor's own frames, then every frame the kernel was
+      // ever granted, reset to plain writable RAM — a linear pass over ~all
+      // of memory, the paper's dominant attach cost. Warm: only the dirty
+      // set; the rest of the retained table carries over untouched. A
+      // dirty frame inside the reserved region is re-canonicalized as
+      // hypervisor-owned (defense in depth; the engine filters them out).
+      const bool warm = plan.kind == RebuildPlan::Kind::kDirtySet;
+      if (warm)
+        MERC_CHECK_MSG(page_info_.retained(),
+                       "warm attach without a retained page-info table");
+      init_reserved_page_info();
+      const std::span<const hw::Pfn> frames =
+          warm ? plan.rebuild : std::span<const hw::Pfn>(k.pool().owned());
+      run.run_phase(
+          warm ? "switch.crew.dirty_rebuild" : "switch.crew.rebuild",
+          frames.size(), [&](hw::Cpu& w, std::size_t b, std::size_t e) {
+            const HvFaultPoint site =
+                warm ? HvFaultPoint::kDirtyRebuild
+                     : site_for(w, cp, HvFaultPoint::kAdoptRebuild,
+                                HvFaultPoint::kShardRebuild);
+            MERC_FLIGHT(w, kShardRange,
+                        warm ? "vmm.adopt.dirty_rebuild" : "vmm.adopt.rebuild",
+                        e - b, frames[b], frames[e - 1]);
+            for (const hw::Pfn pfn : frames.subspan(b, e - b)) {
+              if (fault_probe_) fault_probe_(site, &w);
+              w.charge(pv::costs::kPerFrameInfoRebuild);
+              const bool reserved =
+                  pfn >= reserved_first_ &&
+                  pfn < reserved_first_ + static_cast<hw::Pfn>(reserved_count_);
+              page_info_.at(pfn) = PageInfo{reserved ? kDomHypervisor : id,
+                                            PageType::kWritable, 0, 1, false};
+              if (warm)
+                page_info_.note_dirty_rebuilt(pfn);
+              else
+                page_info_.note_rebuilt(pfn);
+            }
+          });
+      MERC_COUNT_N("vmm.page_info.frames_reconstructed", frames.size());
+      break;
+    }
+    case RebuildPlan::Kind::kTrustedSweep:
+      // Eager tracking kept the table fresh, but the VMM still cross-checks
+      // ownership with a light sweep before enforcing isolation on it.
+      MERC_CHECK_MSG(page_info_.valid(),
+                     "eager attach without a primed page-info table");
+      run.run_phase("switch.crew.sweep", k.pool().owned_count(),
+                    [](hw::Cpu& w, std::size_t b, std::size_t e) {
+                      MERC_FLIGHT(w, kShardRange, "vmm.adopt.sweep", e - b);
+                      w.charge(e - b);
+                    });
+      break;
+    case RebuildPlan::Kind::kNone:
+      break;
   }
 }
 
-void Hypervisor::adopt_dirty_rebuild_shard(hw::Cpu& cpu, DomainId id,
-                                           std::span<const hw::Pfn> frames) {
-  if (!frames.empty())
-    MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_dirty_rebuild_shard",
-                frames.size(), frames.front(), frames.back());
-  for (const hw::Pfn pfn : frames) {
-    if (fault_probe_) fault_probe_(HvFaultPoint::kDirtyRebuild, &cpu);
-    cpu.charge(pv::costs::kPerFrameInfoRebuild);
-    const bool reserved =
-        pfn >= reserved_first_ &&
-        pfn < reserved_first_ + static_cast<hw::Pfn>(reserved_count_);
-    page_info_.at(pfn) =
-        reserved ? PageInfo{kDomHypervisor, PageType::kWritable, 0, 1, false}
-                 : PageInfo{id, PageType::kWritable, 0, 1, false};
-    page_info_.note_dirty_rebuilt(pfn);
-  }
-}
+void Hypervisor::adopt(hw::Cpu& cp, PhaseRunner& run, DomainId id, Kernel& k,
+                       const RebuildPlan& plan) {
+  rebuild(cp, run, id, k, plan);
+  Domain& d = domain(id);
 
-void Hypervisor::adopt_trusted_sweep_shard(hw::Cpu& cpu, std::size_t frames) {
-  // Eager tracking kept the table fresh, but the VMM still cross-checks
-  // ownership with a light sweep before enforcing isolation on it.
-  if (frames != 0)
-    MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_trusted_sweep_shard", frames);
-  for (std::size_t i = 0; i < frames; ++i) cpu.charge(1);
+  // Type-and-protect, then validation. Protection of *every* table must
+  // precede validation of *any* L1 ("no writable mapping of a PT frame"),
+  // and all L1 typing must precede L2 validation — hence three phases, not
+  // one. On the warm path only content-dirty tables are revalidated: an
+  // unwritten table still holds the entries verified before the detach
+  // (PTE writes while attached are trapped and checked inline), and any
+  // write — kernel PTE update, MMU A/D write-back, or tampering — lands a
+  // frame in the content set.
+  using Table = std::pair<hw::Pfn, PageType>;
+  const std::vector<Table> tables = collect_tables(k);
+  const bool warm = plan.kind == RebuildPlan::Kind::kDirtySet;
+  std::vector<Table> l1s, l2s;
+  for (const Table& t : tables) {
+    if (warm &&
+        !std::binary_search(plan.content.begin(), plan.content.end(), t.first))
+      continue;
+    (t.second == PageType::kL1 ? l1s : l2s).push_back(t);
+  }
+  if (warm) {
+    MERC_COUNT_N("vmm.page_info.tables_revalidated", l1s.size() + l2s.size());
+    MERC_COUNT_N("vmm.page_info.table_validations_skipped",
+                 tables.size() - l1s.size() - l2s.size());
+  }
+
+  const std::span<const Table> all(tables);
+  run.run_phase(
+      "switch.crew.protect", all.size(),
+      [&](hw::Cpu& w, std::size_t b, std::size_t e) {
+        const HvFaultPoint site = site_for(w, cp, HvFaultPoint::kAdoptProtect,
+                                           HvFaultPoint::kShardProtect);
+        MERC_FLIGHT(w, kShardRange, "vmm.adopt.protect", e - b,
+                    all[b].first, all[e - 1].first);
+        for (const auto& [pfn, type] : all.subspan(b, e - b)) {
+          if (fault_probe_) fault_probe_(site, &w);
+          PageInfo& pi = page_info_.at(pfn);
+          pi.type = type;
+          pi.pinned = true;
+          pi.type_count = 1;
+          set_frame_writable_batched(w, k, pfn, false);
+          page_info_.note_typed(pfn);
+        }
+      });
+  // The phase end is the batch boundary: one shootdown makes every shard's
+  // flips globally effective before validation checks them.
+  if (!tables.empty()) tlb_shootdown_all(cp);
+
+  const auto validate = [&](const char* phase, std::span<const Table> level) {
+    run.run_phase(
+        phase, level.size(), [&](hw::Cpu& w, std::size_t b, std::size_t e) {
+          MERC_FLIGHT(w, kShardRange, "vmm.adopt.validate", e - b,
+                      level[b].first, level[e - 1].first);
+          for (const auto& [pfn, type] : level.subspan(b, e - b)) {
+            if (type == PageType::kL1)
+              validate_l1(w, d, pfn, pv::costs::kPerPtePinScan, nullptr);
+            else
+              validate_l2(w, d, pfn, pv::costs::kPerPtePinScan, nullptr);
+          }
+        });
+  };
+  validate("switch.crew.validate_l1", l1s);
+  validate("switch.crew.validate_l2", l2s);
 }
 
 std::vector<std::pair<hw::Pfn, PageType>> Hypervisor::collect_tables(Kernel& k) {
@@ -290,40 +390,6 @@ std::vector<std::pair<hw::Pfn, PageType>> Hypervisor::collect_tables(Kernel& k) 
     if (t.aspace) tables.emplace_back(t.aspace->page_directory(), PageType::kL2);
   });
   return tables;
-}
-
-void Hypervisor::adopt_protect_shard(
-    hw::Cpu& cpu, DomainId id, Kernel& k,
-    std::span<const std::pair<hw::Pfn, PageType>> tables, HvFaultPoint site) {
-  (void)id;
-  if (!tables.empty())
-    MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_protect_shard", tables.size(),
-                tables.front().first, tables.back().first);
-  for (const auto& [pfn, type] : tables) {
-    if (fault_probe_) fault_probe_(site, &cpu);
-    PageInfo& pi = page_info_.at(pfn);
-    pi.type = type;
-    pi.pinned = true;
-    pi.type_count = 1;
-    set_frame_writable_batched(cpu, k, pfn, false);
-    page_info_.note_typed(pfn);
-  }
-}
-
-void Hypervisor::adopt_validate_shard(
-    hw::Cpu& cpu, DomainId id,
-    std::span<const std::pair<hw::Pfn, PageType>> tables, PageType level) {
-  Domain& d = domain(id);
-  if (!tables.empty())
-    MERC_FLIGHT(cpu, kShardRange, "vmm.adopt_validate_shard", tables.size(),
-                tables.front().first, tables.back().first);
-  for (const auto& [pfn, type] : tables) {
-    if (type != level) continue;
-    if (level == PageType::kL1)
-      validate_l1(cpu, d, pfn, pv::costs::kPerPtePinScan, nullptr);
-    else
-      validate_l2(cpu, d, pfn, pv::costs::kPerPtePinScan, nullptr);
-  }
 }
 
 void Hypervisor::finish_adopt(DomainId id, Kernel& k) {
@@ -351,16 +417,23 @@ std::vector<hw::Pfn> Hypervisor::protected_frames_snapshot() const {
   return frames;
 }
 
-void Hypervisor::release_unprotect_shard(hw::Cpu& cpu, Kernel& k,
-                                         std::span<const hw::Pfn> frames,
-                                         HvFaultPoint site) {
-  if (!frames.empty())
-    MERC_FLIGHT(cpu, kShardRange, "vmm.release_unprotect_shard", frames.size(),
-                frames.front(), frames.back());
-  for (const hw::Pfn pfn : frames) {
-    if (fault_probe_) fault_probe_(site, &cpu);
-    set_frame_writable_batched(cpu, k, pfn, true);
-  }
+void Hypervisor::release(hw::Cpu& cp, PhaseRunner& run, Kernel& k) {
+  const std::vector<hw::Pfn> frames = protected_frames_snapshot();
+  const std::span<const hw::Pfn> all(frames);
+  run.run_phase(
+      "switch.crew.unprotect", all.size(),
+      [&](hw::Cpu& w, std::size_t b, std::size_t e) {
+        const HvFaultPoint site =
+            site_for(w, cp, HvFaultPoint::kReleaseUnprotect,
+                     HvFaultPoint::kShardUnprotect);
+        MERC_FLIGHT(w, kShardRange, "vmm.release.unprotect", e - b,
+                    all[b], all[e - 1]);
+        for (const hw::Pfn pfn : all.subspan(b, e - b)) {
+          if (fault_probe_) fault_probe_(site, &w);
+          set_frame_writable_batched(w, k, pfn, true);
+        }
+      });
+  if (!frames.empty()) tlb_shootdown_all(cp);
 }
 
 void Hypervisor::finish_release(bool retain_page_info) {
@@ -372,34 +445,6 @@ void Hypervisor::finish_release(bool retain_page_info) {
   page_info_.invalidate_all();
   page_info_.set_retained(retain_page_info);
   state_ = State::kDormant;
-}
-
-void Hypervisor::rebuild_page_info(hw::Cpu& cpu, Domain& d) {
-  Kernel* k = d.guest();
-  MERC_CHECK(k != nullptr);
-  MERC_SPAN(cpu, kVmm, "vmm.rebuild_page_info");
-  // Hypervisor's own frames, then every frame the kernel was ever granted:
-  // reset to plain writable RAM. This linear pass over ~all of memory is the
-  // paper's dominant attach cost.
-  init_reserved_page_info();
-  adopt_rebuild_shard(cpu, d.id(), k->pool().owned(),
-                      HvFaultPoint::kAdoptRebuild);
-  MERC_COUNT_N("vmm.page_info.frames_reconstructed", k->pool().owned().size());
-}
-
-void Hypervisor::type_and_protect_tables(hw::Cpu& cpu, Domain& d, Kernel& k) {
-  MERC_SPAN(cpu, kVmm, "vmm.type_and_protect");
-  // Pass 1: discover every page-table frame, set its type, and revoke its
-  // writable direct-map mapping. Protection must precede validation so the
-  // "no writable mapping of a PT frame" rule holds when pass 2 checks it.
-  const auto tables = collect_tables(k);
-  adopt_protect_shard(cpu, d.id(), k, tables, HvFaultPoint::kAdoptProtect);
-  // One shootdown closes the batch of flips; protection must be globally
-  // effective before validation checks it.
-  if (!tables.empty()) tlb_shootdown_all(cpu);
-  // Pass 2: validate (L1s first, then L2s whose entries require L1 typing).
-  adopt_validate_shard(cpu, d.id(), tables, PageType::kL1);
-  adopt_validate_shard(cpu, d.id(), tables, PageType::kL2);
 }
 
 void Hypervisor::forget_frame_range(hw::Pfn first, std::size_t count) {
@@ -458,23 +503,6 @@ void Hypervisor::tlb_shootdown_all(hw::Cpu& cpu) {
     machine_.cpu(c).tlb().flush_all();
 }
 
-DomainId Hypervisor::adopt_running_os(hw::Cpu& cpu, Kernel& k,
-                                      bool trust_page_info) {
-  const DomainId id = begin_adopt(k);
-  MERC_SPAN(cpu, kVmm, "vmm.adopt_running_os");
-  Domain& d = domain(id);
-  if (!trust_page_info) {
-    rebuild_page_info(cpu, d);
-  } else {
-    MERC_CHECK_MSG(page_info_.valid(),
-                   "eager attach without a primed page-info table");
-    adopt_trusted_sweep_shard(cpu, k.pool().owned_count());
-  }
-  type_and_protect_tables(cpu, d, k);
-  finish_adopt(id, k);
-  return id;
-}
-
 void Hypervisor::rollback_adopt(hw::Cpu& cpu, Kernel& k, bool keep_page_info) {
   ++stats_.adopt_rollbacks;
   MERC_COUNT("vmm.adopt_rollbacks");
@@ -501,10 +529,12 @@ void Hypervisor::reprotect_os(hw::Cpu& cpu, DomainId id, Kernel& k) {
   ++stats_.reprotects;
   MERC_COUNT("vmm.reprotects");
   MERC_SPAN(cpu, kFault, "vmm.reprotect_os");
-  // A detach fault left some page tables writable; re-running the protect
-  // pass re-discovers every table, re-protects the unwound ones (already
-  // protected frames are flipped to the same value), and re-validates.
-  type_and_protect_tables(cpu, domain(id), k);
+  // A detach fault left some page tables writable; re-running the adopt
+  // sequence over the live table re-discovers every table, re-protects the
+  // unwound ones (already protected frames are flipped to the same value),
+  // and re-validates.
+  CpuRunner on_cpu(cpu);
+  adopt(cpu, on_cpu, id, k, RebuildPlan{RebuildPlan::Kind::kNone});
   for (std::size_t c = 0; c < machine_.num_cpus(); ++c)
     set_guest_on_cpu(static_cast<std::uint32_t>(c), &k, id);
   take_traps();

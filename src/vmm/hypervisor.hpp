@@ -4,8 +4,9 @@
 // serves hypercalls, routes hardware traps to the owning guest, and hosts
 // the split-driver backends. Supports being *pre-cached*: warmed up at
 // machine boot into a reserved top-of-memory region and left dormant until
-// Mercury attaches it (paper §4.1), at which point `adopt_running_os`
-// rebuilds the page accounting for the already-running kernel (§5.1.2).
+// Mercury attaches it (paper §4.1), at which point `adopt` rebuilds the page
+// accounting for the already-running kernel and write-protects its page
+// tables (§5.1.2), and `release` undoes the protection on detach.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "vmm/grant_table.hpp"
 #include "vmm/netif.hpp"
 #include "vmm/page_info.hpp"
+#include "vmm/phase_runner.hpp"
 
 namespace mercury::kernel {
 class Kernel;
@@ -53,9 +55,10 @@ struct HvStats {
 /// A probe may throw to abort the surrounding operation mid-flight — that
 /// is the point: the engine's rollback must unwind the partial mutation.
 enum class HvFaultPoint : std::uint8_t {
-  // The bulk loops, named by the CPU that runs them: these three when the
-  // control processor runs the loop (a crew-of-one switch, a CP shard of a
-  // crewed one, migration and the eager tracker's rebuild)...
+  // The adopt/release bulk loops, named by the CPU that runs them: these
+  // three when the loop runs on the control processor the caller names
+  // (every CpuRunner caller, a crew-of-one switch, a CP shard of a crewed
+  // one)...
   kAdoptRebuild,      // once per frame during the page-info rebuild
   kAdoptProtect,      // once per page-table frame during type-and-protect
   kReleaseUnprotect,  // once per frame during the writability restore
@@ -114,14 +117,41 @@ class Hypervisor : public hw::TrapSink {
   /// Which guest kernel executes on a physical CPU (trap routing).
   void set_guest_on_cpu(std::uint32_t cpu, kernel::Kernel* k, DomainId dom);
 
-  // --- Mercury attach/detach support ---
-  /// Build a (privileged, driver) domain around an already-running native
-  /// kernel in one pass on `cpu` (a detach rollback's re-adoption; a switch
-  /// runs the same pieces through its crew, see the sharded entry points
-  /// below). When `trust_page_info` is false the full owner/type/count
-  /// rebuild runs (the paper's dominant switch cost); true corresponds to
-  /// the eager-tracking variant that kept the table fresh.
-  DomainId adopt_running_os(hw::Cpu& cpu, kernel::Kernel& k, bool trust_page_info);
+  // --- Mercury attach/detach (§5.1.2) ---
+  // The hypervisor owns the adopt and release sequences; the caller only
+  // supplies the PhaseRunner that runs each phase's shards. A shard on the
+  // control processor `cp` fires the kAdopt*/kReleaseUnprotect point, one on
+  // any other worker the kShard* point. The callers that flip the
+  // hypervisor's state wrap the sequences in begin_/finish_adopt and
+  // begin_/finish_release.
+
+  /// What the adoption's page-info step rebuilds.
+  struct RebuildPlan {
+    enum class Kind : std::uint8_t {
+      kAllFrames,     // every frame the kernel owns (cold attach, migration
+                      // admission, rollback re-adoption)
+      kDirtySet,      // warm attach: reconstruct `rebuild`, revalidate only
+                      // the tables in `content`
+      kTrustedSweep,  // eager tracking kept the table: 1-cycle/frame check
+      kNone,          // keep the live table (reprotect_os)
+    };
+    Kind kind = Kind::kAllFrames;
+    std::span<const hw::Pfn> rebuild{};  // kDirtySet only
+    std::span<const hw::Pfn> content{};  // kDirtySet only; sorted
+  };
+
+  /// State checks + stats + domain reuse/creation. No simulated cost.
+  DomainId begin_adopt(kernel::Kernel& k);
+  /// The page-info step of an adoption alone (the eager tracker primes its
+  /// dormant table with it).
+  void rebuild(hw::Cpu& cp, PhaseRunner& run, DomainId id, kernel::Kernel& k,
+               const RebuildPlan& plan);
+  /// Rebuild per `plan`, then type + write-protect every page table, one
+  /// TLB shootdown, validate the L1s, then the L2s.
+  void adopt(hw::Cpu& cp, PhaseRunner& run, DomainId id, kernel::Kernel& k,
+             const RebuildPlan& plan);
+  /// Flip to kActive: table valid, guests bound, traps taken.
+  void finish_adopt(DomainId id, kernel::Kernel& k);
   /// Unwind a *partially applied* adoption after a mid-switch fault: restore
   /// writability of every frame protected so far, drop (or, for eager
   /// tracking, keep) the page accounting, return to dormancy, and hand the
@@ -132,6 +162,19 @@ class Hypervisor : public hw::TrapSink {
   /// and re-validate every page table and re-take the traps, restoring the
   /// fully attached state (detach rollback).
   void reprotect_os(hw::Cpu& cpu, DomainId id, kernel::Kernel& k);
+  /// State checks + stats for a release episode.
+  void begin_release(DomainId id);
+  /// Restore writability of every protected frame, then one shootdown if
+  /// any frame was protected.
+  void release(hw::Cpu& cp, PhaseRunner& run, kernel::Kernel& k);
+  /// Flip to kDormant: accounting dropped O(1). With `retain_page_info`
+  /// the entry contents survive and the table is marked retained.
+  void finish_release(bool retain_page_info = false);
+  /// The currently protected frames, sorted (deterministic shard ranges).
+  std::vector<hw::Pfn> protected_frames_snapshot() const;
+  /// Every page-table frame of `k`: the L1s, then the page directories
+  /// (uncharged discovery walk; the one enumeration of the forest).
+  std::vector<std::pair<hw::Pfn, PageType>> collect_tables(kernel::Kernel& k);
   /// Install a fault probe called at the HvFaultPoint sites (tests; unset in
   /// production paths). The probe may throw. The second argument is the CPU
   /// executing the probed loop, so injected latency charges the right clock.
@@ -147,70 +190,11 @@ class Hypervisor : public hw::TrapSink {
   /// Initialize page accounting for a freshly built domain (boot path).
   void init_domain_memory(Domain& d);
 
-  // --- switch pipeline (sharded adopt/release) ---
-  // Range-based pieces the switch engine farms out to a SwitchCrew. Every
-  // shard charges the CPU actually executing it and reports the fault point
-  // the caller names for that CPU, so a mid-shard fault surfaces on the
-  // worker and the engine's rollback must converge.
-  /// State checks + stats + domain reuse/creation. No simulated cost.
-  DomainId begin_adopt(kernel::Kernel& k);
-  /// Reset the hypervisor's own reserved frames' accounting (CP-side, O(64MB
-  /// of frames), uncharged) and zero shard counters.
-  void init_reserved_page_info();
-  /// Rebuild owner/type/count for `frames`, charging `cpu` per frame.
-  void adopt_rebuild_shard(hw::Cpu& cpu, DomainId id,
-                           std::span<const hw::Pfn> frames, HvFaultPoint site);
-  /// Warm-path variant: reconstruct owner/type/count for exactly the dirty
-  /// `frames` against the retained table, charging `cpu` per frame. Frames
-  /// inside the hypervisor's reserved region are re-canonicalized as
-  /// hypervisor-owned (defense in depth; the engine filters them out).
-  /// Probes kDirtyRebuild per frame, on any CPU.
-  void adopt_dirty_rebuild_shard(hw::Cpu& cpu, DomainId id,
-                                 std::span<const hw::Pfn> frames);
-  /// Eager-tracking cross-check sweep over `frames` frames (1 cycle each).
-  void adopt_trusted_sweep_shard(hw::Cpu& cpu, std::size_t frames);
-  /// Discover every page-table frame of `k` (uncharged discovery walk).
-  std::vector<std::pair<hw::Pfn, PageType>> collect_tables(kernel::Kernel& k);
-  /// Type + pin + write-protect the given tables, charging `cpu`.
-  void adopt_protect_shard(hw::Cpu& cpu, DomainId id, kernel::Kernel& k,
-                           std::span<const std::pair<hw::Pfn, PageType>> tables,
-                           HvFaultPoint site);
-  /// Validate the tables of `level` in the span (L1s must all be typed —
-  /// i.e. every protect shard done — before any L2 shard validates).
-  void adopt_validate_shard(hw::Cpu& cpu, DomainId id,
-                            std::span<const std::pair<hw::Pfn, PageType>> tables,
-                            PageType level);
-  /// Flip to kActive: table valid, guests bound, traps taken.
-  void finish_adopt(DomainId id, kernel::Kernel& k);
-  /// State checks + stats for a release episode.
-  void begin_release(DomainId id);
-  /// The currently protected frames, sorted (deterministic shard ranges).
-  std::vector<hw::Pfn> protected_frames_snapshot() const;
-  /// Restore writability of `frames`, charging `cpu` per frame.
-  void release_unprotect_shard(hw::Cpu& cpu, kernel::Kernel& k,
-                               std::span<const hw::Pfn> frames,
-                               HvFaultPoint site);
-  /// Flip to kDormant: accounting dropped O(1). With `retain_page_info`
-  /// the entry contents survive and the table is marked retained.
-  void finish_release(bool retain_page_info = false);
-
   // --- page-info machinery (exposed for the eager tracker and tests) ---
   PageInfoTable& page_info() { return page_info_; }
-  void rebuild_page_info(hw::Cpu& cpu, Domain& d);
-  void type_and_protect_tables(hw::Cpu& cpu, Domain& d, kernel::Kernel& k);
   /// Drop protection bookkeeping for frames leaving this machine (domain
   /// migrated away / destroyed): no flips, just forget.
   void forget_frame_range(hw::Pfn first, std::size_t count);
-  /// Flip the direct-map writability of a frame (page-table protection).
-  /// The single-frame form pays a per-page cross-CPU shootdown; trap-time
-  /// pin/unpin and rollback use it. Bulk shards use the batched form (PTE
-  /// rewrite only) and close the batch with one tlb_shootdown_all.
-  void set_frame_writable(hw::Cpu& cpu, kernel::Kernel& k, hw::Pfn pfn,
-                          bool writable);
-  void set_frame_writable_batched(hw::Cpu& cpu, kernel::Kernel& k, hw::Pfn pfn,
-                                  bool writable);
-  /// One IPI round + full TLB flush on every CPU, closing a batch of flips.
-  void tlb_shootdown_all(hw::Cpu& cpu);
   bool validate_l1(hw::Cpu& cpu, Domain& d, hw::Pfn table, hw::Cycles per_pte,
                    std::size_t* present_out);
   /// Self-healing mode (§6.2): table validation repairs invalid entries
@@ -278,6 +262,20 @@ class Hypervisor : public hw::TrapSink {
   bool validate_update(Domain& d, hw::PhysAddr pte_addr, hw::Pte value,
                        std::string* why);
   bool frame_is_pt(hw::Pfn pfn) const;
+  /// Reset the hypervisor's own reserved frames' accounting (uncharged) and
+  /// open a rebuild epoch.
+  void init_reserved_page_info();
+  /// Flip the direct-map writability of a frame (page-table protection).
+  /// The single-frame form pays a per-page cross-CPU shootdown; trap-time
+  /// pin/unpin and rollback use it. The adopt/release shards use the
+  /// batched form (PTE rewrite only) and close the batch with one
+  /// tlb_shootdown_all.
+  void set_frame_writable(hw::Cpu& cpu, kernel::Kernel& k, hw::Pfn pfn,
+                          bool writable);
+  void set_frame_writable_batched(hw::Cpu& cpu, kernel::Kernel& k, hw::Pfn pfn,
+                                  bool writable);
+  /// One IPI round + full TLB flush on every CPU, closing a batch of flips.
+  void tlb_shootdown_all(hw::Cpu& cpu);
 
   hw::Machine& machine_;
   State state_ = State::kCold;

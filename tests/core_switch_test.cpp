@@ -38,6 +38,26 @@ struct MercuryBox {
   std::unique_ptr<Mercury> mercury;
 };
 
+/// The cold adoption run directly on the hypervisor with the single-CPU
+/// runner, outside any switch: begin, adopt every frame on `cpu`, finish.
+vmm::DomainId adopt_on_one_cpu(Mercury& m, hw::Cpu& cpu) {
+  vmm::Hypervisor& hv = m.hypervisor();
+  const vmm::DomainId dom = hv.begin_adopt(m.kernel());
+  vmm::CpuRunner on_cpu(cpu);
+  hv.adopt(cpu, on_cpu, dom, m.kernel(), vmm::Hypervisor::RebuildPlan{});
+  hv.finish_adopt(dom, m.kernel());
+  return dom;
+}
+
+/// Every HvStats field, for equality checks across adoption runners.
+std::vector<std::uint64_t> hv_stats_fields(const vmm::HvStats& s) {
+  return {s.hypercalls,      s.traps_dispatched, s.pte_validations,
+          s.emulated_pte_writes, s.pins,         s.unpins,
+          s.cr3_switches,    s.domains_crashed,  s.entries_healed,
+          s.adopts,          s.releases,         s.adopt_rollbacks,
+          s.reprotects};
+}
+
 TEST(SwitchEngine, RoundTripThroughAllModes) {
   MercuryBox box;
   Mercury& m = *box.mercury;
@@ -382,51 +402,86 @@ TEST(SwitchEngine, AttachScalesWithMemoryDetachDoesNot) {
 }
 
 TEST(SwitchEngine, CrewAttachMatchesSerialStateAndIsFaster) {
-  // Parallel switch pipeline vs. a crew of one (serial) on the same machine
-  // shape: the final machine state must be identical frame-for-frame, and
-  // the sharded bulk transfer must be at least 2x faster with 3 workers.
-  // Compare the transfer-phase cycles, not last_attach_cycles: on an SMP
-  // box the total is dominated by inter-CPU clock skew (idle CPUs run ahead
-  // until the switch interrupt, and the rendezvous aligns the CP to the max
-  // clock), identically on both paths.
+  // Parallel switch pipeline vs. a crew of one (serial) vs. the hypervisor's
+  // single-CPU runner on the same machine shape: the final machine state
+  // must be identical frame-for-frame, and the sharded bulk transfer must be
+  // at least 2x faster with 3 workers. Compare the transfer-phase cycles,
+  // not last_attach_cycles: on an SMP box the total is dominated by
+  // inter-CPU clock skew (idle CPUs run ahead until the switch interrupt,
+  // and the rendezvous aligns the CP to the max clock), identically on both
+  // crew paths.
+  struct Adopted {
+    std::vector<vmm::PageInfo> page_info;
+    std::vector<hw::Pfn> protected_frames;
+    std::vector<std::uint64_t> stats;
+  };
+  const auto capture = [](Mercury& m) {
+    vmm::Hypervisor& hv = m.hypervisor();
+    return Adopted{hv.page_info().snapshot(), hv.protected_frames_snapshot(),
+                   hv_stats_fields(hv.stats())};
+  };
+  // A switch's state is taken as the attach resolves, before the guest
+  // runs on (and issues hypercalls) under the new VMM.
+  const auto capture_at_attach = [&](Mercury& m, Adopted& out) {
+    m.engine().set_completion_hook([&m, &out, &capture](ExecMode target,
+                                                        core::SwitchOutcome) {
+      if (target != ExecMode::kNative) out = capture(m);
+    });
+  };
+  const auto expect_same = [](const Adopted& a, const Adopted& b,
+                              const char* what) {
+    ASSERT_EQ(a.page_info.size(), b.page_info.size()) << what;
+    std::size_t mismatches = 0;
+    for (std::size_t pfn = 0; pfn < a.page_info.size(); ++pfn) {
+      const vmm::PageInfo& x = a.page_info[pfn];
+      const vmm::PageInfo& y = b.page_info[pfn];
+      if (x.owner != y.owner || x.type != y.type ||
+          x.type_count != y.type_count || x.ref_count != y.ref_count ||
+          x.pinned != y.pinned)
+        ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << what << " diverged from the serial accounting";
+    EXPECT_EQ(a.protected_frames, b.protected_frames) << what;
+    EXPECT_EQ(a.stats, b.stats) << what;
+  };
+
   hw::Cycles serial_attach = 0;
   hw::Cycles serial_detach = 0;
-  std::vector<vmm::PageInfo> serial_snap;
+  Adopted serial_state;
   {
     MercuryBox serial({}, /*mem_mb=*/256, /*cpus=*/4);
     Mercury& m = *serial.mercury;
+    capture_at_attach(m, serial_state);
     ASSERT_TRUE(m.switch_to(ExecMode::kPartialVirtual));
     serial_attach = m.engine().stats().last_transfer.page_info_cycles;
-    serial_snap = m.hypervisor().page_info().snapshot();
     ASSERT_TRUE(m.switch_to(ExecMode::kNative));
     serial_detach = m.engine().stats().last_transfer.protection_cycles;
+  }
+  EXPECT_FALSE(serial_state.protected_frames.empty());
+  {
+    // The switch also publishes the guest's trap and descriptor tables (two
+    // hypercalls) before it resolves; do the same after the bare adoption.
+    MercuryBox one({}, /*mem_mb=*/256, /*cpus=*/4);
+    hw::Cpu& cpu = one.machine->cpu(0);
+    core::VirtualVo& vo = one.mercury->engine().driver_vo();
+    vo.bind(adopt_on_one_cpu(*one.mercury, cpu));
+    vo.state_transfer_in(cpu, one.mercury->kernel());
+    expect_same(serial_state, capture(*one.mercury), "single-CPU runner");
   }
 
   MercuryConfig cfg;
   cfg.switch_config.crew_workers = 3;
   MercuryBox crew(cfg, /*mem_mb=*/256, /*cpus=*/4);
   Mercury& m = *crew.mercury;
+  Adopted crew_state;
+  capture_at_attach(m, crew_state);
   ASSERT_TRUE(m.switch_to(ExecMode::kPartialVirtual));
   const hw::Cycles crew_attach =
       m.engine().stats().last_transfer.page_info_cycles;
   EXPECT_GE(serial_attach, 2 * crew_attach)
       << "4 CPUs sharding the bulk phases must at least halve the transfer "
          "latency (serial=" << serial_attach << " crew=" << crew_attach << ")";
-
-  const std::vector<vmm::PageInfo> crew_snap =
-      m.hypervisor().page_info().snapshot();
-  ASSERT_EQ(serial_snap.size(), crew_snap.size());
-  std::size_t mismatches = 0;
-  for (std::size_t pfn = 0; pfn < serial_snap.size(); ++pfn) {
-    const vmm::PageInfo& a = serial_snap[pfn];
-    const vmm::PageInfo& b = crew_snap[pfn];
-    if (a.owner != b.owner || a.type != b.type ||
-        a.type_count != b.type_count || a.ref_count != b.ref_count ||
-        a.pinned != b.pinned)
-      ++mismatches;
-  }
-  EXPECT_EQ(mismatches, 0u)
-      << "sharded rebuild diverged from the serial accounting";
+  expect_same(serial_state, crew_state, "sharded crew");
 
   ASSERT_TRUE(m.switch_to(ExecMode::kNative));
   const hw::Cycles crew_detach =
@@ -434,6 +489,7 @@ TEST(SwitchEngine, CrewAttachMatchesSerialStateAndIsFaster) {
   EXPECT_LT(crew_detach, serial_detach)
       << "sharded unprotect must not be slower than the serial walk";
   EXPECT_FALSE(m.hypervisor().active());
+  m.engine().set_completion_hook(nullptr);
 }
 
 TEST(SwitchEngine, CrewOfOneHoldsEveryCpuThroughTheTransfer) {
@@ -471,12 +527,12 @@ TEST(SwitchEngine, CrewOfOneHoldsEveryCpuThroughTheTransfer) {
   expect_same_transfer(st.last_transfer, up_st.last_transfer);
   {
     // A crew of one pays no queue atoms: its page-info transfer costs
-    // exactly the hypervisor's one-pass adoption on an identical machine.
+    // exactly the hypervisor's adoption on the single-CPU runner on an
+    // identical machine.
     MercuryBox ref({}, /*mem_mb=*/128, /*cpus=*/1);
     hw::Cpu& cpu = ref.machine->cpu(0);
     const hw::Cycles t0 = cpu.now();
-    ref.mercury->hypervisor().adopt_running_os(cpu, ref.mercury->kernel(),
-                                               /*trust_page_info=*/false);
+    adopt_on_one_cpu(*ref.mercury, cpu);
     EXPECT_EQ(up_st.last_transfer.page_info_cycles, cpu.now() - t0);
   }
 

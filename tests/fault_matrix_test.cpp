@@ -701,7 +701,7 @@ TEST(FaultMatrix, SupervisedPersistentStormQuarantinesWithPostmortem) {
   scfg.backoff_base_ms = 0.5;
   scfg.degraded_after = 2;
   scfg.quarantine_after = 3;
-  scfg.probe_enabled = false;
+  scfg.probe_interval_ms = 0;  // no recovery probes
   core::SwitchSupervisor sup(box.m.engine(), scfg);
 
   const std::uint64_t bundles_before = obs::postmortem_count();

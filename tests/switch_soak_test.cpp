@@ -275,7 +275,7 @@ TEST(SwitchSoak, PersistentStormQuarantinesCleanly) {
   scfg.max_attempts = 4;
   scfg.degraded_after = 2;
   scfg.quarantine_after = 4;
-  scfg.probe_enabled = false;  // the storm never ends; stay quarantined
+  scfg.probe_interval_ms = 0;  // the storm never ends; stay quarantined
   scfg.seed = seed;
   SoakBox box(scfg);
 
