@@ -149,7 +149,8 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg = {});
 /// outbound leg that keeps failing rolls the source back, returns both
 /// nodes native and quarantines. window_cycles runs from the prediction
 /// (the call, on src's clock) to safety (the OS admitted on dst, on dst's
-/// clock); downtime_cycles is the leg's stop-and-copy.
+/// clock); downtime_cycles is the leg's stop-and-copy through dst's
+/// admission.
 ArcReport evacuate_arc(Node& src, Node& dst, const DependConfig& cfg = {});
 
 /// §6.2: attach with the hypervisor in heal mode, so adoption's page-table

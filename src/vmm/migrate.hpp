@@ -3,9 +3,10 @@
 // scenarios §6.3/§6.5).
 //
 // Rounds of dirty-page transfer run while the guest keeps executing; the
-// final stop-and-copy freezes the guest (the downtime the stats report),
-// ships the residue and the vcpu state, and re-homes the kernel on the
-// target via Kernel::migrate_to.
+// final stop-and-copy freezes the guest, ships the residue and the vcpu
+// state, and re-homes the kernel on the target via Kernel::migrate_to. The
+// downtime the stats report runs from the stop-and-copy start on the
+// sender's clock to the end of the receiver's admission on its CPU 0.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,13 @@
 // Live migration + checkpoint/restore correctness.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string_view>
+
 #include "cluster/depend.hpp"
 #include "cluster/fabric.hpp"
 #include "kernel/syscalls.hpp"
+#include "obs/obs.hpp"
 #include "vmm/checkpoint.hpp"
 #include "vmm/migrate.hpp"
 
@@ -113,6 +117,31 @@ TEST(MigrationTest, DirtyPagesTriggerExtraRounds) {
   EXPECT_GT(stats.pages_sent, stats.pages_total) << "some pages resent";
   EXPECT_LT(stats.downtime_cycles, stats.total_cycles / 10)
       << "downtime must be a small fraction of total migration time";
+}
+
+TEST(MigrationTest, DowntimeRunsUntilTheReceiverHasAdmittedTheGuest) {
+#if !MERCURY_OBS_ENABLED
+  GTEST_SKIP() << "reads the stop-and-copy start from the event ring";
+#else
+  // The guest stays frozen while the receiver rebuilds its page info and
+  // protects its tables, so the downtime ends on the receiver's CPU 0 clock
+  // after admission, not on the sender's clock when the copy ends.
+  TwoNodes t;
+  ASSERT_TRUE(t.b->mercury().switch_to(core::ExecMode::kPartialVirtual));
+  ASSERT_TRUE(t.a->mercury().switch_to(core::ExecMode::kFullVirtual));
+  const auto stats = vmm::LiveMigration::run(
+      t.a->mercury().hypervisor(), t.a->mercury().guest_vo().dom(),
+      t.b->mercury().hypervisor());
+  ASSERT_TRUE(stats.success);
+  const hw::Cycles admitted = t.b->machine().cpu(0).now();
+  std::optional<hw::Cycles> stopcopy_start;
+  for (const obs::Event& e : obs::event_ring().events())
+    if (e.type == obs::EventType::kPhaseBegin &&
+        std::string_view(e.name) == "migrate.stopcopy")
+      stopcopy_start = e.begin;
+  ASSERT_TRUE(stopcopy_start.has_value());
+  EXPECT_EQ(stats.downtime_cycles, admitted - *stopcopy_start);
+#endif
 }
 
 TEST(MigrationTest, SourceFramesAreFreedAfterMigration) {
