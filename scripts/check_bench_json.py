@@ -199,6 +199,11 @@ def validate_metrics(doc):
                 raise SchemaError(
                     f"histograms[{i}] ('{name}'): quantiles not monotonic"
                 )
+            if entry["p99"] > entry["max"]:
+                raise SchemaError(
+                    f"histograms[{i}] ('{name}'): p99 > max (quantiles must "
+                    "be clamped to the recorded range)"
+                )
         if entry["count"] < 0:
             raise SchemaError(f"histograms[{i}] ('{name}'): negative count")
     return names
@@ -456,10 +461,11 @@ def validate_pause(doc):
                     f"{where} ('{name}') field '{field}' is missing or not "
                     "a number"
                 )
-        # p50/p99 are log2-bucket upper bounds and the max is exact, so the
-        # bounds are monotone against each other but may exceed the max.
+        # Quantiles are log2-bucket bounds clamped to the exact max.
         if c["p50"] > c["p99"]:
             raise SchemaError(f"{where} ('{name}'): p50 > p99")
+        if c["p99"] > c["max"]:
+            raise SchemaError(f"{where} ('{name}'): p99 > max")
         if c["count"] == 0 and c["total_cycles"] != 0:
             raise SchemaError(
                 f"{where} ('{name}'): cycles recorded with zero intervals"

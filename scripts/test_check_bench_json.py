@@ -168,8 +168,8 @@ def pause_doc():
         # Every cause the ledger knows, with counts on the two active ones:
         # the validator rejects a ledger missing any canonical cause.
         "causes": [
-            pause_cause("rendezvous-parked", 4, 20000, 4095, 8191, 8000),
-            pause_cause("crew-shard-work", 1, 600, 1023, 1023, 600),
+            pause_cause("rendezvous-parked", 4, 20000, 4095, 8000, 8000),
+            pause_cause("crew-shard-work", 1, 600, 600, 600, 600),
         ] + [
             pause_cause(n) for n in cbj.PAUSE_CAUSES
             if n not in ("rendezvous-parked", "crew-shard-work")
@@ -325,6 +325,23 @@ class MetricsSchemaTest(unittest.TestCase):
         doc["histograms"][0]["p90"] = 500.0  # p90 > p99
         with self.assertRaisesRegex(cbj.SchemaError, "quantiles"):
             cbj.validate_metrics(doc)
+
+    def test_quantile_above_max_rejected(self):
+        # A histogram as metrics JSON carried it before quantiles were
+        # clamped: switch.attach.rendezvous_cycles with every quantile at
+        # the log2 bucket bound 33 554 431 and an exact max of 29 996 836.
+        doc = metrics_doc()
+        doc["histograms"][0].update(
+            {"count": 16, "sum": 418697830, "min": 2550, "mean": 2.61686e+07,
+             "max": 29996836, "p50": 33554431, "p90": 33554431,
+             "p99": 33554431})
+        with self.assertRaisesRegex(cbj.SchemaError, "p99 > max"):
+            cbj.validate_metrics(doc)
+
+    def test_quantile_equal_to_max_accepted(self):
+        doc = metrics_doc()
+        doc["histograms"][0].update({"p50": 200.0, "p90": 200.0})
+        cbj.validate_metrics(doc)
 
     def test_mean_outside_min_max(self):
         doc = metrics_doc()
@@ -617,12 +634,19 @@ class PauseSchemaTest(unittest.TestCase):
         with self.assertRaisesRegex(cbj.SchemaError, "p50 > p99"):
             cbj.validate_pause(doc)
 
-    def test_p99_bucket_bound_may_exceed_exact_max(self):
-        # p50/p99 are log2-bucket upper bounds while max is exact, so
-        # p99 > max is legitimate (8191 > 8000 in the fixture already).
+    def test_p99_bucket_bound_above_exact_max_rejected(self):
+        # What the ledger wrote before quantiles were clamped: a log2 bucket
+        # bound (8191) above the exact max (8000).
         doc = pause_doc()
-        self.assertGreater(doc["causes"][0]["p99"], doc["causes"][0]["max"])
-        cbj.validate_pause(doc)
+        doc["causes"][0]["p99"] = 8191
+        with self.assertRaisesRegex(cbj.SchemaError, "p99 > max"):
+            cbj.validate_pause(doc)
+
+    def test_p50_bucket_bound_above_exact_max_rejected(self):
+        doc = pause_doc()
+        doc["causes"][1]["p50"] = doc["causes"][1]["p99"] = 1023  # max 600
+        with self.assertRaisesRegex(cbj.SchemaError, "p99 > max"):
+            cbj.validate_pause(doc)
 
     def test_cycles_without_intervals_rejected(self):
         doc = pause_doc()

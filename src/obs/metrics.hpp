@@ -16,6 +16,7 @@
 // non-macro users (tests, benches) still link.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -60,7 +61,19 @@ class Hist {
     s_.add(static_cast<double>(v));
   }
   std::uint64_t count() const { return h_.count(); }
-  std::uint64_t quantile(double q) const { return h_.quantile(q); }
+  /// The log2-bucket quantile clamped to the recorded [min, max], so a
+  /// bucket's upper bound never reports more than the largest sample. 0
+  /// when empty.
+  std::uint64_t quantile(double q) const {
+    if (count() == 0) return 0;
+    return std::clamp(h_.quantile(q), static_cast<std::uint64_t>(s_.min()),
+                      static_cast<std::uint64_t>(s_.max()));
+  }
+  /// Fold another histogram in, as if its samples were record()ed here.
+  void merge(const Hist& other) {
+    h_.merge(other.h_);
+    s_.merge(other.s_);
+  }
   const util::Histogram& histogram() const { return h_; }
   const util::RunningStats& stats() const { return s_; }
   void reset() {

@@ -64,9 +64,7 @@ void PauseLedger::record(PauseCause cause, std::uint32_t cpu, hw::Cycles begin,
   if (end < begin) end = begin;
   const hw::Cycles span = end - begin;
   CauseSlot& slot = causes_[static_cast<std::size_t>(cause)];
-  slot.hist.add(span);
-  slot.moments.add(static_cast<double>(span));
-  ++slot.count;
+  slot.hist.record(span);
   slot.total += span;
   if (cpu >= cpu_totals_.size()) cpu_totals_.resize(cpu + 1, 0);
   cpu_totals_[cpu] += span;
@@ -95,13 +93,6 @@ void PauseLedger::end_interval(std::uint32_t cpu, hw::Cycles end) {
   record(slot.cause, cpu, slot.begin, end, slot.detail);
 }
 
-std::uint64_t PauseLedger::quantile(PauseCause c, double q) const {
-  const CauseSlot& slot = per_cause(c);
-  if (q >= 1.0)
-    return static_cast<std::uint64_t>(slot.moments.max());
-  return slot.hist.quantile(q);
-}
-
 hw::Cycles PauseLedger::cpu_total(std::uint32_t cpu) const {
   return cpu < cpu_totals_.size() ? cpu_totals_[cpu] : 0;
 }
@@ -111,8 +102,6 @@ void PauseLedger::merge(const PauseLedger& other) {
     CauseSlot& dst = causes_[i];
     const CauseSlot& src = other.causes_[i];
     dst.hist.merge(src.hist);
-    dst.moments.merge(src.moments);
-    dst.count += src.count;
     dst.total += src.total;
   }
   if (other.cpu_totals_.size() > cpu_totals_.size())
@@ -168,7 +157,7 @@ std::string PauseLedger::to_json() const {
     out += "{\"name\":";
     append_json_string(out, pause_cause_name(c));
     out += ",\"count\":";
-    out += std::to_string(slot.count);
+    out += std::to_string(slot.hist.count());
     out += ",\"total_cycles\":";
     out += std::to_string(slot.total);
     out += ",\"p50\":";

@@ -4,8 +4,8 @@
 // ROADMAP item 5 (latency-bounded switching) needs the *tail* of per-CPU
 // unavailability, attributed to a cause. The ledger records every interval a
 // vCPU is unavailable to guest work as a typed (cause, begin, end, detail)
-// record: per-cause cycle histograms with exact running max, per-CPU cycle
-// totals, and a running worst-case interval that carries a flight-recorder
+// record: per-cause cycle histograms (quantiles clamped to the exact
+// recorded max) with exact cycle totals, per-CPU cycle totals, and a running worst-case interval that carries a flight-recorder
 // sequence number so the black box tail around the worst pause can be
 // replayed from the same artifact.
 //
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "hw/types.hpp"
-#include "util/stats.hpp"
+#include "obs/metrics.hpp"
 
 namespace mercury::obs {
 
@@ -82,16 +82,12 @@ class PauseLedger {
 
   std::uint64_t intervals() const { return intervals_; }
   std::uint64_t unattributed() const { return unattributed_; }
-  std::uint64_t count(PauseCause c) const { return per_cause(c).count; }
+  std::uint64_t count(PauseCause c) const { return per_cause(c).hist.count(); }
   hw::Cycles total(PauseCause c) const { return per_cause(c).total; }
-  /// Log2-bucketed quantile, except q >= 1.0 returns the *exact* recorded
-  /// max (RunningStats, not a bucket bound) — worst-case must not round.
-  std::uint64_t quantile(PauseCause c, double q) const;
-  const util::Histogram& histogram(PauseCause c) const {
-    return per_cause(c).hist;
-  }
-  const util::RunningStats& stats(PauseCause c) const {
-    return per_cause(c).moments;
+  /// Log2-bucketed quantile clamped to the recorded [min, max]: q >= 1.0 is
+  /// the exact max — worst-case must not round.
+  std::uint64_t quantile(PauseCause c, double q) const {
+    return per_cause(c).hist.quantile(q);
   }
   /// Total recorded unavailability on `cpu` (0 for CPUs never paused).
   hw::Cycles cpu_total(std::uint32_t cpu) const;
@@ -115,10 +111,8 @@ class PauseLedger {
 
  private:
   struct CauseSlot {
-    util::Histogram hist;
-    util::RunningStats moments;
-    std::uint64_t count = 0;
-    hw::Cycles total = 0;
+    Hist hist;
+    hw::Cycles total = 0;  // exact, unlike the histogram's double sum
   };
   struct OpenSlot {
     bool open = false;

@@ -61,6 +61,25 @@ TEST(MetricsRegistry, HistogramRecordsMomentsAndQuantiles) {
   EXPECT_GE(h.quantile(0.99), h.quantile(0.5));
 }
 
+TEST(MetricsRegistry, HistogramQuantilesStayWithinTheRecordedRange) {
+  // 29 996 836 lands in the log2 bucket bounded by 33 554 431; no quantile
+  // may report more than the largest sample, and merging keeps the bound.
+  obs::Hist h;
+  h.record(29'996'836);
+  h.record(2'550);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_LE(h.quantile(q), 29'996'836u) << q;
+    EXPECT_GE(h.quantile(q), 2'550u) << q;
+  }
+  EXPECT_EQ(h.quantile(1.0), 29'996'836u);
+  obs::Hist other;
+  other.record(31'000'000);
+  h.merge(other);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.quantile(0.99), 31'000'000u);
+  EXPECT_EQ(obs::Hist{}.quantile(0.5), 0u);
+}
+
 TEST(MetricsRegistry, SnapshotFindsInstrumentsByNameAndLabel) {
   obs::registry().counter("test.obs.snap_counter", "cpu=0").inc(3);
   obs::registry().counter("test.obs.snap_counter", "cpu=1").inc(5);
@@ -765,8 +784,9 @@ TEST(PauseLedger, QuantileAtOneIsExactMaxNotBucketBound) {
   // return the exact recorded max — worst-case numbers must not round.
   EXPECT_EQ(pl.quantile(obs::PauseCause::kRendezvousParked, 1.0), 7777u);
   EXPECT_EQ(pl.quantile(obs::PauseCause::kRendezvousParked, 2.0), 7777u);
-  // Below 1.0 the bucket bound applies (and may exceed the exact max).
-  EXPECT_GE(pl.quantile(obs::PauseCause::kRendezvousParked, 0.99), 7777u);
+  // Below 1.0 the bucket bound is clamped to the exact max as well.
+  EXPECT_EQ(pl.quantile(obs::PauseCause::kRendezvousParked, 0.99), 7777u);
+  EXPECT_EQ(pl.quantile(obs::PauseCause::kRendezvousParked, 0.5), 7777u);
 }
 
 TEST(PauseLedger, EmptyLedgerEdgeCases) {
