@@ -11,8 +11,8 @@ Dispatches on the document's `schema` field. For a `mercury.postmortem.v1`
 bundle (see obs/postmortem.hpp) it prints: the failure header, per-CPU
 clocks, the phase timeline reconstructed from paired phase.begin/phase.end
 flight events, the supervisor timeline (attempts, backoffs, resolutions,
-health transitions), refcount-retry storms, crew shard utilization, SLO
-breaches, and the raw tail of the event ring (a span prints as
+health transitions), refcount-retry storms, crew shard utilization, and
+the raw tail of the event ring (a span prints as
 `span <name> <duration us>`). For `mercury.timeseries.v1`
 it prints each series as a unicode sparkline with min/max/last stats; for
 `mercury.profile.v1`, the engine-loop buckets ranked by wall time; for
@@ -236,16 +236,6 @@ def render(doc, tail_n=40):
             )
             for cpu in sorted(per_worker):
                 add(f"    cpu {cpu:>2}: {_us(per_worker[cpu]):>12.3f} us busy")
-
-    breaches = [e for e in events if e["type"] == "slo.breach"]
-    if breaches:
-        add("")
-        add("--- SLO breaches ---")
-        for e in breaches:
-            add(
-                f"  {e['name']}: ran {_us(e['args'][0]):.3f} us against a "
-                f"budget of {_us(e['args'][1]):.3f} us (cpu {e['cpu']})"
-            )
 
     hits = [e for e in events if e["type"] == "fault.hit"]
     if hits:

@@ -20,7 +20,8 @@
 #            scripts/check_bench_json.py --schema depend, renders them via
 #            scripts/blackbox_report.py, and gates the clean window/downtime
 #            gauges against BENCH_depend.json with scripts/bench_compare.py
-#   obsoff - tier1 with -DMERCURY_OBS=OFF (build-obsoff/), then diff the
+#   obsoff - tier1 with -DMERCURY_OBS=OFF -DMERCURY_WERROR=ON (build-obsoff/;
+#            compiled-out telemetry must build warning-free), then diff the
 #            CYCLE_IDENTITY probe lines against the normal build: telemetry
 #            must compile away without moving a single simulated cycle
 #   asan   - full suite under AddressSanitizer  (build-asan/)
@@ -107,7 +108,8 @@ check_cycle_identity() {
 
 run_obsoff() {
   configure_and_build build
-  configure_and_build build-obsoff -DMERCURY_OBS=OFF
+  # -Werror: compiled-out telemetry must not leave unused variables behind.
+  configure_and_build build-obsoff -DMERCURY_OBS=OFF -DMERCURY_WERROR=ON
   run_label_parallel build-obsoff tier1
   echo "run_tiers: obsoff OK — cycle identity holds:"
   # The switch path, and the dependability services (checkpoint/restore/

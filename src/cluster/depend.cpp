@@ -17,6 +17,13 @@ using core::ExecMode;
 
 namespace {
 
+/// Budget driving each supervised switch to resolution.
+constexpr hw::Cycles kSwitchBudget = 2000 * hw::kCyclesPerMillisecond;
+/// Guest execution between checkpoint and restore (the divergence the
+/// restore must undo), and on the migration destination (the service the
+/// migrated OS renders before coming home).
+constexpr hw::Cycles kServiceRun = 10 * hw::kCyclesPerMillisecond;
+
 /// Arm a content-dirty window on `node`'s machine for the duration of a
 /// migration leg: reuses the engine's warm-reattach DirtyFrameTracker when
 /// one exists (it is already the machine's dirty sink), otherwise installs
@@ -123,8 +130,7 @@ void fold_supervisor(ArcReport& r, const core::SwitchSupervisor& sup) {
     if (!core::request_state_terminal(req.state)) ++r.stranded_requests;
 }
 
-void fold_invariants(ArcReport& r, core::SwitchEngine& engine, bool enabled) {
-  if (!enabled) return;
+void fold_invariants(ArcReport& r, core::SwitchEngine& engine) {
   const core::InvariantReport rep = core::check_machine_invariants(engine);
   if (!rep.ok())
     util::log_warn("depend", r.service, " invariants: ", rep.to_string());
@@ -200,13 +206,13 @@ bool migrate_leg(ArcReport& r, const DependConfig& cfg, const char* label,
 bool depart(ArcReport& r, const DependConfig& cfg, Node& src, Node& dst,
             core::SwitchSupervisor& ssup, core::SwitchSupervisor& dsup,
             hw::Cycles& s0, core::FaultInjected* last) {
-  if (!dsup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+  if (!dsup.switch_now(ExecMode::kPartialVirtual, kSwitchBudget)) {
     quarantine(r, dst, "receiver attach never committed", last);
     return false;
   }
-  if (!ssup.switch_now(ExecMode::kFullVirtual, cfg.switch_budget)) {
+  if (!ssup.switch_now(ExecMode::kFullVirtual, kSwitchBudget)) {
     quarantine(r, src, "source attach never committed", last);
-    dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+    dsup.switch_now(ExecMode::kNative, kSwitchBudget);
     return false;
   }
   r.attach_cycles = src.mercury().engine().stats().last_attach_cycles;
@@ -215,8 +221,8 @@ bool depart(ArcReport& r, const DependConfig& cfg, Node& src, Node& dst,
   // Every attempt rolled the source back; both nodes come home.
   r.rolled_back = true;
   r.service_cycles = src.machine().max_cpu_time() - s0;
-  ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
-  dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+  ssup.switch_now(ExecMode::kNative, kSwitchBudget);
+  dsup.switch_now(ExecMode::kNative, kSwitchBudget);
   quarantine(r, src, "outbound migration kept failing; source rolled back",
              last);
   return false;
@@ -253,7 +259,7 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
     const hw::Cycles t0 = cpu.now();
     core::FaultInjected last{};
 
-    if (!sup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+    if (!sup.switch_now(ExecMode::kPartialVirtual, kSwitchBudget)) {
       quarantine(r, node, "attach never committed", &last);
     } else {
       r.attach_cycles = m.engine().stats().last_attach_cycles;
@@ -275,7 +281,7 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
       }
       // Native speed is the standing promise: come home even after a
       // quarantined service.
-      if (sup.switch_now(ExecMode::kNative, cfg.switch_budget)) {
+      if (sup.switch_now(ExecMode::kNative, kSwitchBudget)) {
         r.detach_cycles = m.engine().stats().last_detach_cycles;
       } else {
         r.success = false;
@@ -285,7 +291,7 @@ ArcReport live_update_arc(Node& node, const KernelPatch& patch,
     }
     r.window_cycles = cpu.now() - t0;
     fold_supervisor(r, sup);
-    fold_invariants(r, m.engine(), cfg.check_invariants);
+    fold_invariants(r, m.engine());
   }
   fold_pauses(r, ledger);
   // The update's guest-frozen time is the rendezvous parking around the
@@ -306,7 +312,7 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
     const hw::Cycles t0 = cpu.now();
     core::FaultInjected last{};
 
-    if (!sup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+    if (!sup.switch_now(ExecMode::kPartialVirtual, kSwitchBudget)) {
       quarantine(r, node, "attach never committed", &last);
     } else {
       r.attach_cycles = m.engine().stats().last_attach_cycles;
@@ -327,7 +333,7 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
       } else {
         // Diverge: the OS keeps executing under the attached VMM. The
         // restore below must make all of this unhappen, bit-exactly.
-        m.kernel().run_for(cfg.service_run);
+        m.kernel().run_for(kServiceRun);
 
         // The undo image, taken fault-free immediately before the first
         // restore attempt: rollback must never itself be faultable.
@@ -365,10 +371,10 @@ ArcReport checkpoint_restart_arc(Node& node, const DependConfig& cfg) {
         }
         // The invariant checker runs on the restored (or rolled-back)
         // target, while the VMM is still attached and watching.
-        fold_invariants(r, m.engine(), cfg.check_invariants);
+        fold_invariants(r, m.engine());
       }
       r.service_cycles = cpu.now() - s0;
-      if (sup.switch_now(ExecMode::kNative, cfg.switch_budget)) {
+      if (sup.switch_now(ExecMode::kNative, kSwitchBudget)) {
         r.detach_cycles = m.engine().stats().last_detach_cycles;
       } else {
         r.success = false;
@@ -405,7 +411,7 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
     if (depart(r, cfg, src, dst, ssup, dsup, s0, &last)) {
       // Service phase: the OS runs on the receiver, frontends already
       // reconnected by the migration's activation step.
-      sm.kernel().run_for(cfg.service_run);
+      sm.kernel().run_for(kServiceRun);
 
       // Homeward leg, content tracker now on the receiver's machine.
       const bool home = migrate_leg(r, cfg, "migrate.back", dst, src, &last);
@@ -420,8 +426,8 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
                    "receiver",
                    &last);
       } else {
-        const bool sn = ssup.switch_now(ExecMode::kNative, cfg.switch_budget);
-        const bool dn = dsup.switch_now(ExecMode::kNative, cfg.switch_budget);
+        const bool sn = ssup.switch_now(ExecMode::kNative, kSwitchBudget);
+        const bool dn = dsup.switch_now(ExecMode::kNative, kSwitchBudget);
         if (sn) r.detach_cycles = sm.engine().stats().last_detach_cycles;
         if (sn && dn) {
           r.verified = !src.hosts_foreign_guest() &&
@@ -440,8 +446,8 @@ ArcReport migrate_arc(Node& src, Node& dst, const DependConfig& cfg) {
     fold_supervisor(r, ssup);
     fold_supervisor(r, dsup);
     if (guest_home) {
-      fold_invariants(r, sm.engine(), cfg.check_invariants);
-      fold_invariants(r, dm.engine(), cfg.check_invariants);
+      fold_invariants(r, sm.engine());
+      fold_invariants(r, dm.engine());
     }
   }
   fold_pauses(r, ledger);
@@ -478,8 +484,8 @@ ArcReport evacuate_arc(Node& src, Node& dst, const DependConfig& cfg) {
     fold_supervisor(r, dsup);
     // The native-mode sweep only applies when the OS is still at home.
     if (!away) {
-      fold_invariants(r, src.mercury().engine(), cfg.check_invariants);
-      fold_invariants(r, dst.mercury().engine(), cfg.check_invariants);
+      fold_invariants(r, src.mercury().engine());
+      fold_invariants(r, dst.mercury().engine());
     }
   }
   fold_pauses(r, ledger);
@@ -503,11 +509,11 @@ ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
       // Adoption validates every page table; heal mode repairs tainted
       // entries instead of crashing the domain (paper §6.2: the VMM
       // "repairs the tainted state").
-      if (!sup.switch_now(ExecMode::kPartialVirtual, cfg.switch_budget)) {
+      if (!sup.switch_now(ExecMode::kPartialVirtual, kSwitchBudget)) {
         quarantine(r, node, "attach never committed", &last);
       } else {
         r.attach_cycles = m.engine().stats().last_attach_cycles;
-        if (sup.switch_now(ExecMode::kNative, cfg.switch_budget))
+        if (sup.switch_now(ExecMode::kNative, kSwitchBudget))
           r.detach_cycles = m.engine().stats().last_detach_cycles;
         else
           quarantine(r, node, "detach never committed", &last);
@@ -515,7 +521,7 @@ ArcReport self_heal_arc(Node& node, const DependConfig& cfg) {
     }
     r.window_cycles = cpu.now() - t0;
     fold_supervisor(r, sup);
-    fold_invariants(r, m.engine(), cfg.check_invariants);
+    fold_invariants(r, m.engine());
     if (!r.quarantined) {
       r.verified = m.hypervisor().stats().domains_crashed == crashed_before &&
                    r.invariant_violations == 0;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "kernel/co_step.hpp"
 #include "obs/obs.hpp"
-#include "util/assert.hpp"
 
 namespace mercury::cluster {
 
@@ -50,61 +50,16 @@ hw::Cycles Fabric::now() const {
 }
 
 bool Fabric::co_step(const std::function<bool()>& pred, hw::Cycles budget) {
-  constexpr hw::Cycles kLookahead = 20 * hw::kCyclesPerMicrosecond;
-  hw::Cycles start = ~hw::Cycles{0};
-  for (auto& n : nodes_)
-    if (!n->failed())
-      start = std::min(start, n->active().earliest_cpu_time());
-
-  while (!pred()) {
-    // Earliest live kernel steps, clamped to the runner-up's horizon.
-    Node* earliest = nullptr;
-    Node* runner_up = nullptr;
-    for (auto& n : nodes_) {
-      if (n->failed()) continue;
-      if (earliest == nullptr || n->active().earliest_cpu_time() <
-                                     earliest->active().earliest_cpu_time()) {
-        runner_up = earliest;
-        earliest = n.get();
-      } else if (runner_up == nullptr ||
-                 n->active().earliest_cpu_time() <
-                     runner_up->active().earliest_cpu_time()) {
-        runner_up = n.get();
-      }
-    }
-    MERC_CHECK_MSG(earliest != nullptr, "co_step with no live nodes");
-
-    kernel::Kernel& k = earliest->active();
-    if (runner_up != nullptr)
-      k.set_idle_clamp(runner_up->active().earliest_cpu_time() + kLookahead);
-    const bool progressed = step_node(*earliest);
-    k.set_idle_clamp(0);
-    if (!progressed) {
-      bool any = false;
-      for (auto& n : nodes_) {
-        if (n->failed() || n.get() == earliest) continue;
-        if (step_node(*n)) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) {
-        if (pred()) return true;
-        // Everyone parked: release the earliest past its clamp.
-        k.advance_all_cpus_to(
-            (runner_up ? runner_up->active().earliest_cpu_time() : k.earliest_cpu_time()) +
-            kLookahead);
-        if (!step_node(*earliest)) return pred();
-      }
-    }
-
-    hw::Cycles now_max = 0;
-    for (auto& n : nodes_)
-      if (!n->failed())
-        now_max = std::max(now_max, n->active().earliest_cpu_time());
-    if (now_max - start > budget) return false;
+  std::vector<Node*> live;
+  std::vector<kernel::Kernel*> kernels;
+  for (auto& n : nodes_) {
+    if (n->failed()) continue;
+    live.push_back(n.get());
+    kernels.push_back(&n->active());
   }
-  return true;
+  return kernel::co_step(kernels, pred, budget, [&live](std::size_t i) {
+    return step_node(*live[i]);
+  });
 }
 
 }  // namespace mercury::cluster

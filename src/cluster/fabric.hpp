@@ -23,9 +23,8 @@ class Fabric {
   hw::Link& connect(Node& a, Node& b, hw::Link::Params params = {});
   hw::Link* link_between(Node& a, Node& b);
 
-  /// Step every non-failed node's active kernel conservatively (earliest
-  /// clock first, idle advancement clamped by the global horizon) until
-  /// pred() holds or the budget is exhausted.
+  /// Step every non-failed node's active kernel through kernel::co_step
+  /// until pred() holds or the budget is exhausted.
   bool co_step(const std::function<bool()>& pred, hw::Cycles budget);
 
   /// Latest clock across the cluster (the fabric's wall time).

@@ -86,6 +86,90 @@ bool write_soak_report(const SoakReport& r, const std::string& path) {
   return static_cast<bool>(out);
 }
 
+namespace {
+
+/// The virtual mode every soak alternates with native.
+constexpr core::ExecMode kSoakVirtMode = core::ExecMode::kPartialVirtual;
+/// co_step budget for one fleet wave.
+constexpr hw::Cycles kWaveBudget = 400 * hw::kCyclesPerMillisecond;
+
+core::ExecMode opposite_mode(const core::SwitchEngine& engine) {
+  return engine.mode() == core::ExecMode::kNative ? kSoakVirtMode
+                                                  : core::ExecMode::kNative;
+}
+
+/// A committed request's switch is a service interruption as long as its
+/// transfer window (the machine was rendezvoused, not running the
+/// workload), ending when the request resolved. A commit that consumed no
+/// attempt was a no-op and moved nothing. The window is measured on
+/// whichever CPU handled the commit, while resolved_at is stamped on CPU 0
+/// — per-CPU clocks skew between rendezvous points, so back-projecting the
+/// raw window can reach behind the previous interruption's end. Clamp:
+/// downtime intervals must not overlap or their sum exceeds the
+/// observation span.
+void account_commit(AvailabilityTracker& t, const core::SwitchStats& es,
+                    const core::SupervisedRequest& r) {
+  if (r.attempts == 0) return;
+  const bool detach = r.target == core::ExecMode::kNative;
+  const hw::Cycles window =
+      detach ? es.last_detach_cycles : es.last_attach_cycles;
+  if (window == 0 || r.resolved_at <= window) return;
+  hw::Cycles down_at = r.resolved_at - window;
+  if (!t.interruptions().empty())
+    down_at = std::max(down_at, t.interruptions().back().ended);
+  if (down_at >= r.resolved_at) return;
+  t.service_down(down_at, detach ? "switch.detach" : "switch.attach");
+  t.service_up(r.resolved_at);
+}
+
+/// Add one machine into a soak verdict: its supervisor's request and retry
+/// counters, its engine's rollbacks and cancels, its stranded caller
+/// requests, its availability window and its pause ledger. Counts sum, the
+/// span and the worst pause take the maximum, and an unhealthy supervisor
+/// names the final health. A single-machine soak folds its one machine; a
+/// fleet soak folds each node.
+void fold_machine(SoakReport& r, core::SwitchSupervisor& sup,
+                  const AvailabilityTracker& t, const obs::PauseLedger& pl) {
+  const core::SupervisorStats& ss = sup.stats();
+  r.submitted += ss.submitted;
+  r.committed += ss.committed;
+  r.failed_deadline += ss.failed_deadline;
+  r.failed_attempts += ss.failed_attempts;
+  r.failed_quarantined += ss.failed_quarantined;
+  r.cancelled += ss.cancelled;
+  r.attempts += ss.attempts;
+  r.retries += ss.retries;
+  r.backoffs += ss.backoffs;
+  r.quarantines += ss.quarantines;
+  r.recoveries += ss.recoveries;
+  r.probes += ss.probes;
+  // The stranded-request gate covers caller-submitted requests only: a
+  // supervisor-internal probe or quarantine detach legitimately in flight
+  // at snapshot time is scheduled work, not a stranded request.
+  for (const core::SupervisedRequest& q : sup.requests())
+    if (!q.internal && !core::request_state_terminal(q.state)) ++r.unresolved;
+  if (sup.health() != core::SupervisorHealth::kHealthy)
+    r.final_health = core::supervisor_health_name(sup.health());
+
+  r.rollbacks += sup.engine().stats().rollbacks;
+  r.engine_cancels += sup.engine().stats().cancels;
+
+  r.interruptions += t.interruptions().size();
+  r.downtime_cycles += t.total_downtime();
+  r.span_cycles = std::max<std::uint64_t>(r.span_cycles,
+                                          t.observation_span());
+
+  r.pause_intervals += pl.intervals();
+  r.pause_unattributed += pl.unattributed();
+  const obs::PauseWorst& pw = pl.worst();
+  if (pw.valid && pw.span() > r.pause_worst_cycles) {
+    r.pause_worst_cycles = pw.span();
+    r.pause_worst_cause = obs::pause_cause_name(pw.cause);
+  }
+}
+
+}  // namespace
+
 SoakDriver::SoakDriver(core::SwitchSupervisor& supervisor, SoakParams p)
     : sup_(supervisor),
       kernel_(supervisor.engine().kernel()),
@@ -120,10 +204,7 @@ void SoakDriver::tick() {
   if (!outstanding_ && submitted_ < params_.cycles) {
     // Alternate: whatever mode the machine settled in, ask for the other
     // one — a soak cycle is one supervised attach or detach end-to-end.
-    const core::ExecMode target =
-        sup_.engine().mode() == core::ExecMode::kNative
-            ? params_.virt_mode
-            : core::ExecMode::kNative;
+    const core::ExecMode target = opposite_mode(sup_.engine());
     core::RequestOptions opts;
     opts.deadline = params_.deadline;
     opts.max_attempts = params_.max_attempts;
@@ -148,28 +229,11 @@ void SoakDriver::on_resolved(const core::SupervisedRequest& r) {
   ++resolved_;
   if (r.state == core::RequestState::kCommitted) {
     ++committed_;
-    // A committed switch is a service interruption as long as the actual
-    // transfer (the machine was rendezvoused and not running the workload).
-    if (r.attempts > 0) {
-      const core::SwitchStats& es = sup_.engine().stats();
-      const hw::Cycles window = r.target == core::ExecMode::kNative
-                                    ? es.last_detach_cycles
-                                    : es.last_attach_cycles;
-      if (window > 0 && r.resolved_at > window) {
-        tracker_.service_down(r.resolved_at - window,
-                              r.target == core::ExecMode::kNative
-                                  ? "switch.detach"
-                                  : "switch.attach");
-        tracker_.service_up(r.resolved_at);
-      }
-    }
+    account_commit(tracker_, sup_.engine().stats(), r);
   }
-  if (params_.check_invariants) {
-    ++invariant_checks_;
-    const core::InvariantReport rep =
-        core::check_machine_invariants(sup_.engine());
-    if (!rep.ok()) ++invariant_violations_;
-  }
+  ++invariant_checks_;
+  if (!core::check_machine_invariants(sup_.engine()).ok())
+    ++invariant_violations_;
   if (done() && !finished_) {
     finished_ = true;
     tracker_.finish(now());
@@ -200,49 +264,16 @@ SoakReport SoakDriver::report(std::uint64_t seed) const {
   r.storm_fires = fi.storm_fires();
   r.storm_windows = fi.storm_windows();
 
-  const core::SupervisorStats& ss = sup_.stats();
-  r.submitted = ss.submitted;
-  r.committed = ss.committed;
-  r.failed_deadline = ss.failed_deadline;
-  r.failed_attempts = ss.failed_attempts;
-  r.failed_quarantined = ss.failed_quarantined;
-  r.cancelled = ss.cancelled;
-  // The stranded-request gate covers caller-submitted requests only: a
-  // supervisor-internal probe or quarantine detach legitimately in flight
-  // at snapshot time is scheduled work, not a stranded request.
-  r.unresolved = 0;
-  for (const core::SupervisedRequest& q : sup_.requests())
-    if (!q.internal && !core::request_state_terminal(q.state)) ++r.unresolved;
-  r.attempts = ss.attempts;
-  r.retries = ss.retries;
-  r.backoffs = ss.backoffs;
-  r.quarantines = ss.quarantines;
-  r.recoveries = ss.recoveries;
-  r.probes = ss.probes;
-  r.final_health = core::supervisor_health_name(sup_.health());
-
-  r.rollbacks = sup_.engine().stats().rollbacks;
-  r.engine_cancels = sup_.engine().stats().cancels;
+  // Single-machine soaks record into the ambient (usually process-global)
+  // ledger; obs-off builds report zeros, which the gate accepts.
+  fold_machine(r, sup_, tracker_, obs::pause_ledger());
+  r.availability = tracker_.availability();
   r.invariant_checks = invariant_checks_;
   r.invariant_violations = invariant_violations_;
-
-  r.availability = tracker_.availability();
-  r.interruptions = tracker_.interruptions().size();
-  r.downtime_cycles = tracker_.total_downtime();
-  r.span_cycles = tracker_.observation_span();
 
   r.workload_ops = workload_ops_;
   r.workload_bytes = workload_bytes_;
   r.workload_corruptions = workload_corruptions_;
-
-  // Single-machine soaks record into the ambient (usually process-global)
-  // ledger; obs-off builds report zeros, which the gate accepts.
-  const obs::PauseLedger& pl = obs::pause_ledger();
-  r.pause_intervals = pl.intervals();
-  r.pause_unattributed = pl.unattributed();
-  const obs::PauseWorst& pw = pl.worst();
-  r.pause_worst_cycles = pw.valid ? pw.span() : 0;
-  r.pause_worst_cause = pw.valid ? obs::pause_cause_name(pw.cause) : "none";
 
   r.converged = done() && r.unresolved == 0 && !tracker_.is_down();
   r.final_mode = core::exec_mode_name(sup_.engine().mode());
@@ -358,29 +389,7 @@ void ClusterSoak::on_resolved(NodeRt& rt, const core::SupervisedRequest& r) {
   if (r.state == core::RequestState::kCommitted) {
     ++rt.committed;
     rt.node->metrics().counter("node.switch.committed").inc();
-    // Same accounting as SoakDriver: a committed switch is a short service
-    // interruption covering the actual transfer window. The window is
-    // measured on whichever CPU handled the commit, while resolved_at is
-    // stamped on CPU 0 — per-CPU clocks skew between rendezvous points, so
-    // back-projecting the raw window can reach behind the previous
-    // interruption's end. Clamp: downtime intervals must not overlap or the
-    // sum exceeds the observation span.
-    const core::SwitchStats& es = rt.supervisor->engine().stats();
-    const hw::Cycles window = r.target == core::ExecMode::kNative
-                                  ? es.last_detach_cycles
-                                  : es.last_attach_cycles;
-    if (window > 0 && r.resolved_at > window) {
-      hw::Cycles down_at = r.resolved_at - window;
-      if (!rt.tracker.interruptions().empty())
-        down_at = std::max(down_at, rt.tracker.interruptions().back().ended);
-      if (down_at < r.resolved_at) {
-        rt.tracker.service_down(down_at,
-                                r.target == core::ExecMode::kNative
-                                    ? "switch.detach"
-                                    : "switch.attach");
-        rt.tracker.service_up(r.resolved_at);
-      }
-    }
+    account_commit(rt.tracker, rt.supervisor->engine().stats(), r);
   } else {
     ++rt.failed;
     rt.node->metrics().counter("node.switch.failed").inc();
@@ -399,10 +408,7 @@ void ClusterSoak::run_wave() {
 #endif
   // Fleet-wide alternation: whatever mode node 0 settled in, the wave
   // drives every node toward the other one.
-  const core::ExecMode target =
-      nodes_[0]->supervisor->engine().mode() == core::ExecMode::kNative
-          ? params_.virt_mode
-          : core::ExecMode::kNative;
+  const core::ExecMode target = opposite_mode(nodes_[0]->supervisor->engine());
 
   for (auto& rtp : nodes_) {
     NodeRt* rt = rtp.get();
@@ -432,7 +438,7 @@ void ClusterSoak::run_wave() {
           if (rt->outstanding) return false;
         return true;
       },
-      params_.wave_budget);
+      kWaveBudget);
   if (!ok) all_resolved_ok_ = false;
   ++waves_run_;
 
@@ -494,67 +500,33 @@ SoakReport ClusterSoak::report() const {
   r.planned_cycles = params_.waves;
 
   double avail_sum = 0.0;
-  const char* worst_health = "healthy";
   for (const auto& rtp : nodes_) {
     const NodeRt& rt = *rtp;
-    const core::SupervisorStats& ss = rt.supervisor->stats();
+    fold_machine(r, *rt.supervisor, rt.tracker, rt.node->pauses());
+    // The node's own section: the same fold over this node alone.
+    SoakReport own;
+    fold_machine(own, *rt.supervisor, rt.tracker, rt.node->pauses());
     NodeSoakStats ns;
     ns.name = rt.node->name();
     ns.submitted = rt.submitted;
     ns.committed = rt.committed;
     ns.failed = rt.failed;
-    ns.retries = ss.retries;
-    ns.quarantines = ss.quarantines;
+    ns.retries = own.retries;
+    ns.quarantines = own.quarantines;
     ns.availability = rt.tracker.availability();
-    ns.interruptions = rt.tracker.interruptions().size();
-    ns.downtime_cycles = rt.tracker.total_downtime();
-    ns.span_cycles = rt.tracker.observation_span();
-    const obs::PauseLedger& pl = rt.node->pauses();
-    ns.pause_intervals = pl.intervals();
-    ns.pause_unattributed = pl.unattributed();
-    const obs::PauseWorst& pw = pl.worst();
-    ns.pause_worst_cycles = pw.valid ? pw.span() : 0;
-    ns.pause_worst_cause =
-        pw.valid ? obs::pause_cause_name(pw.cause) : "none";
-    ns.final_health = core::supervisor_health_name(rt.supervisor->health());
-    ns.final_mode =
-        core::exec_mode_name(rt.supervisor->engine().mode());
+    ns.interruptions = own.interruptions;
+    ns.downtime_cycles = own.downtime_cycles;
+    ns.span_cycles = own.span_cycles;
+    ns.pause_intervals = own.pause_intervals;
+    ns.pause_unattributed = own.pause_unattributed;
+    ns.pause_worst_cycles = own.pause_worst_cycles;
+    ns.pause_worst_cause = own.pause_worst_cause;
+    ns.final_health = own.final_health;
+    ns.final_mode = core::exec_mode_name(rt.supervisor->engine().mode());
     avail_sum += ns.availability;
-
-    r.submitted += ss.submitted;
-    r.committed += ss.committed;
-    r.failed_deadline += ss.failed_deadline;
-    r.failed_attempts += ss.failed_attempts;
-    r.failed_quarantined += ss.failed_quarantined;
-    r.cancelled += ss.cancelled;
-    r.attempts += ss.attempts;
-    r.retries += ss.retries;
-    r.backoffs += ss.backoffs;
-    r.quarantines += ss.quarantines;
-    r.recoveries += ss.recoveries;
-    r.probes += ss.probes;
-    r.rollbacks += rt.supervisor->engine().stats().rollbacks;
-    r.engine_cancels += rt.supervisor->engine().stats().cancels;
-    for (const core::SupervisedRequest& q : rt.supervisor->requests())
-      if (!q.internal && !core::request_state_terminal(q.state))
-        ++r.unresolved;
-    r.interruptions += rt.tracker.interruptions().size();
-    r.downtime_cycles += rt.tracker.total_downtime();
-    r.span_cycles = std::max(r.span_cycles,
-                             static_cast<std::uint64_t>(
-                                 rt.tracker.observation_span()));
-    if (rt.supervisor->health() != core::SupervisorHealth::kHealthy)
-      worst_health = core::supervisor_health_name(rt.supervisor->health());
-    r.pause_intervals += ns.pause_intervals;
-    r.pause_unattributed += ns.pause_unattributed;
-    if (ns.pause_worst_cycles > r.pause_worst_cycles) {
-      r.pause_worst_cycles = ns.pause_worst_cycles;
-      r.pause_worst_cause = ns.pause_worst_cause;
-    }
     r.nodes.push_back(std::move(ns));
   }
-  r.availability = nodes_.empty() ? 1.0 : avail_sum / nodes_.size();
-  r.final_health = worst_health;
+  r.availability = avail_sum / static_cast<double>(nodes_.size());
   r.final_mode =
       core::exec_mode_name(nodes_.front()->supervisor->engine().mode());
   r.converged = finished_ && all_resolved_ok_ && r.unresolved == 0;

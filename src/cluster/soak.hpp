@@ -8,7 +8,7 @@
 // SwitchSupervisor whenever the previous one has resolved, so it composes
 // with any workload that is simultaneously driving the same kernel. Every
 // resolution updates outcome counters, the AvailabilityTracker (a committed
-// switch is a short, accounted service interruption), and optionally the
+// switch is a short, accounted service interruption), and the
 // machine-state invariant checker.
 #pragma once
 
@@ -127,14 +127,9 @@ struct SoakParams {
   /// Pump cadence; a tick with the previous request still live just
   /// re-arms.
   double request_interval_ms = 3.0;
-  /// The virtual mode to alternate with native.
-  core::ExecMode virt_mode = core::ExecMode::kPartialVirtual;
   /// Per-request options forwarded to the supervisor.
   hw::Cycles deadline = 0;
   std::uint32_t max_attempts = 0;
-  /// Run the machine-state invariant checker after every resolution
-  /// (host cost only).
-  bool check_invariants = true;
   /// Probability that each driver cycle enables the engine's warm
   /// re-attach before submitting (0 = leave the engine's flag alone).
   /// The flip schedule is drawn from `warm_seed`, so a soak replays its
@@ -210,7 +205,6 @@ struct ClusterSoakParams {
   /// request per node (all toward the mode opposite the fleet's current
   /// one) and runs until every node resolved.
   std::uint64_t waves = 8;
-  core::ExecMode virt_mode = core::ExecMode::kPartialVirtual;
   core::SupervisorConfig supervisor;
   std::uint64_t seed = 0;
   /// Idle dwell between waves, on every node's own clock. This is the
@@ -222,8 +216,6 @@ struct ClusterSoakParams {
   /// ring capacity.
   double sample_interval_ms = 1.0;
   std::size_t sample_capacity = 256;
-  /// co_step budget per wave.
-  hw::Cycles wave_budget = 400 * hw::kCyclesPerMillisecond;
 };
 
 /// Fleet-scale soak: its own Fabric of `nodes` Mercury nodes, one

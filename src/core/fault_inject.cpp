@@ -99,7 +99,7 @@ void FaultInjector::begin_window() {
 }
 
 void FaultInjector::fire_plan(FaultSite site, hw::Cpu* cpu,
-                              std::uint64_t visit) {
+                              [[maybe_unused]] std::uint64_t visit) {
   // Single-shot: disarm before throwing so the rollback path, which walks
   // the same sites in reverse, cannot re-fire.
   armed_ = false;
@@ -120,7 +120,7 @@ void FaultInjector::fire_plan(FaultSite site, hw::Cpu* cpu,
 }
 
 void FaultInjector::fire_storm(FaultSite site, hw::Cpu* cpu,
-                               std::uint64_t visit) {
+                               [[maybe_unused]] std::uint64_t visit) {
   const std::size_t idx = static_cast<std::size_t>(site);
   window_trigger_[idx] = 0;  // one fire per site per window
   ++storm_fires_;

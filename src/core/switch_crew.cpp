@@ -43,8 +43,8 @@ void SwitchCrew::join() {
   for (hw::Cpu* m : members_) m->advance_to(maxt);
 }
 
-void SwitchCrew::run_phase(const char* name, std::size_t items,
-                           const ShardFn& body) {
+void SwitchCrew::run_phase([[maybe_unused]] const char* name,
+                           std::size_t items, const ShardFn& body) {
   if (items == 0) return;
 
   hw::Cpu& cp = *members_[0];

@@ -104,12 +104,6 @@ SwitchEngine::SwitchEngine(kernel::Kernel& k, vmm::Hypervisor& hv,
   // Black box: a failed MERC_CHECK anywhere in the simulator should leave a
   // postmortem bundle behind once a switch engine exists. Idempotent.
   obs::install_assert_postmortem_hook();
-  slo_.set_budget("switch.attach.total_cycles", config_.slo.attach_total);
-  slo_.set_budget("switch.detach.total_cycles", config_.slo.detach_total);
-  slo_.set_budget("switch.rendezvous_cycles", config_.slo.rendezvous);
-  slo_.set_budget("switch.transfer_cycles", config_.slo.transfer);
-  slo_.set_budget("switch.fixup_cycles", config_.slo.fixup);
-  slo_.set_budget("switch.max_pause_cycles", config_.slo.max_pause);
   register_obs_instruments();
 }
 
@@ -160,8 +154,6 @@ void SwitchEngine::register_obs_instruments() {
          [](const SwitchStats& s) { return s.last_dirty_frames; });
   expose("vmm.page_info.last_frames_retained",
          [](const SwitchStats& s) { return s.last_frames_retained; });
-  obs_callbacks_.add("switch.slo.breach_count", obs_label_,
-                     [this] { return static_cast<double>(slo_.breaches()); });
 #endif
 }
 
@@ -306,7 +298,6 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
   const ExecMode from = mode_;
   const hw::Cycles t0 = cpu.now();
   bool committed = true;
-  hw::Cycles rendezvous_cycles = 0;
   try {
     // §5.4: park every CPU at the barrier, recruit the parked cores as a
     // shard crew for the bulk phases (the CP alone when crew_workers is 0),
@@ -335,7 +326,6 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
     }
     const RendezvousStats rvs = rv.release();
     stats_.last_rendezvous_cycles = rv.coordination_cycles();
-    rendezvous_cycles = rv.coordination_cycles();
     stats_.last_max_pause_cycles = rvs.max_pause_cycles;
     MERC_GAUGE_SET("switch.crew.workers", crew.workers());
     MERC_GAUGE_SET("switch.crew.utilization", crew.utilization());
@@ -370,26 +360,26 @@ void SwitchEngine::commit(hw::Cpu& cpu, ExecMode target) {
     MERC_COUNT("switch.attaches");
     MERC_HIST("switch.attach.total_cycles", elapsed);
     MERC_HIST("switch.attach.defer_cycles", stats_.last_defer_wait_cycles);
-    MERC_HIST("switch.attach.rendezvous_cycles", rendezvous_cycles);
+    MERC_HIST("switch.attach.rendezvous_cycles",
+              stats_.last_rendezvous_cycles);
     MERC_HIST("switch.attach.transfer_cycles",
               stats_.last_transfer.page_info_cycles +
                   stats_.last_transfer.protection_cycles +
                   stats_.last_transfer.binding_cycles);
     MERC_HIST("switch.attach.fixup_cycles", stats_.last_transfer.fixup_cycles);
-    observe_slo(cpu, /*attach=*/true, elapsed, rendezvous_cycles);
   } else if (mode_ == ExecMode::kNative) {
     stats_.last_detach_cycles = elapsed;
     ++stats_.detaches;
     MERC_COUNT("switch.detaches");
     MERC_HIST("switch.detach.total_cycles", elapsed);
     MERC_HIST("switch.detach.defer_cycles", stats_.last_defer_wait_cycles);
-    MERC_HIST("switch.detach.rendezvous_cycles", rendezvous_cycles);
+    MERC_HIST("switch.detach.rendezvous_cycles",
+              stats_.last_rendezvous_cycles);
     MERC_HIST("switch.detach.transfer_cycles",
               stats_.last_transfer.page_info_cycles +
                   stats_.last_transfer.protection_cycles +
                   stats_.last_transfer.binding_cycles);
     MERC_HIST("switch.detach.fixup_cycles", stats_.last_transfer.fixup_cycles);
-    observe_slo(cpu, /*attach=*/false, elapsed, rendezvous_cycles);
   } else {
     // partial <-> full re-roles are neither attaches nor detaches.
     ++stats_.reroles;
@@ -430,25 +420,6 @@ void SwitchEngine::cancel() {
   MERC_FLIGHT(kernel_.machine().cpu(0), kSwitchCancel, "switch.cancel",
               static_cast<std::uint64_t>(mode_),
               static_cast<std::uint64_t>(pending_target_));
-}
-
-void SwitchEngine::observe_slo(hw::Cpu& cpu, bool attach, hw::Cycles total,
-                               hw::Cycles rendezvous_cycles) {
-  const TransferStats& tr = stats_.last_transfer;
-  slo_.observe(attach ? "switch.attach.total_cycles"
-                      : "switch.detach.total_cycles",
-               total, cpu.id(), cpu.now());
-  slo_.observe("switch.rendezvous_cycles", rendezvous_cycles, cpu.id(),
-               cpu.now());
-  slo_.observe("switch.transfer_cycles",
-               tr.page_info_cycles + tr.protection_cycles + tr.binding_cycles,
-               cpu.id(), cpu.now());
-  slo_.observe("switch.fixup_cycles", tr.fixup_cycles, cpu.id(), cpu.now());
-  // The per-CPU unavailability budget: the whole park-to-release window,
-  // shard work included. Breach evidence lands in the event ring like
-  // every other phase.
-  slo_.observe("switch.max_pause_cycles", stats_.last_max_pause_cycles,
-               cpu.id(), cpu.now());
 }
 
 void SwitchEngine::dump_rollback_postmortem(ExecMode from, ExecMode target,
@@ -584,7 +555,8 @@ std::optional<WarmSet> SwitchEngine::warm_dirty_set() {
   return warm;
 }
 
-void SwitchEngine::note_warm_attach(hw::Cpu& cpu, std::size_t dirty_frames) {
+void SwitchEngine::note_warm_attach([[maybe_unused]] hw::Cpu& cpu,
+                                    std::size_t dirty_frames) {
   ++stats_.warm_attaches;
   stats_.last_dirty_frames = dirty_frames;
   stats_.last_frames_retained = kernel_.pool().owned_count() - dirty_frames;

@@ -54,7 +54,6 @@ const char* event_type_name(EventType t) {
     case EventType::kFaultHit: return "fault.hit";
     case EventType::kRollbackStep: return "rollback.step";
     case EventType::kInvariantVerdict: return "invariant.verdict";
-    case EventType::kSloBreach: return "slo.breach";
     case EventType::kAssertFail: return "assert.fail";
     case EventType::kSwitchCancel: return "switch.cancel";
     case EventType::kSupervisorAttempt: return "supervisor.attempt";

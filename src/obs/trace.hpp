@@ -5,7 +5,7 @@
 // black-box events that make every rollback, crash and invariant failure
 // diagnosable after the fact — phase begin/end with item counts,
 // refcount-retry with the observed count, crew shard publish/grab/join,
-// fault-injection hits, rollback steps, invariant verdicts, SLO breaches.
+// fault-injection hits, rollback steps, invariant verdicts.
 // Every event carries a *global* sequence number, so merging the per-CPU
 // rings by `seq` reconstructs exactly the order in which the
 // single-threaded simulator emitted them, and up to three integer args.
@@ -133,7 +133,6 @@ enum class EventType : std::uint8_t {
   kFaultHit,          // arg0 = site, arg1 = kind, arg2 = visit count
   kRollbackStep,      // arg0 = step ordinal
   kInvariantVerdict,  // arg0 = violation count
-  kSloBreach,         // arg0 = actual cycles, arg1 = budget cycles
   kAssertFail,        // arg0 = source line
   kSwitchCancel,      // arg0 = current mode, arg1 = abandoned target mode
   kSupervisorAttempt, // arg0 = request id, arg1 = attempt #, arg2 = target

@@ -17,7 +17,7 @@ Snapshot Checkpointer::take(hw::Cpu& cpu, Hypervisor& hv, DomainId dom) {
   snap.taken_at = cpu.now();
   snap.slots.assign(d.frame_count(), Snapshot::kZeroSlot);
   const hw::PhysicalMemory& mem = hv.machine().memory();
-  const hw::Cycles t0 = cpu.now();
+  [[maybe_unused]] const hw::Cycles t0 = cpu.now();
   MERC_FLIGHT(cpu, kPhaseBegin, "checkpoint.capture",
               static_cast<std::uint64_t>(d.frame_count()));
   for (std::size_t i = 0; i < d.frame_count(); ++i) {
@@ -44,7 +44,7 @@ void Checkpointer::restore(hw::Cpu& cpu, Hypervisor& hv, const Snapshot& snap) {
                      d.frame_count() == snap.frame_count,
                  "snapshot does not match the domain's memory layout");
   hw::PhysicalMemory& mem = hv.machine().memory();
-  const hw::Cycles t0 = cpu.now();
+  [[maybe_unused]] const hw::Cycles t0 = cpu.now();
   MERC_FLIGHT(cpu, kPhaseBegin, "restore.apply",
               static_cast<std::uint64_t>(snap.frame_count));
   for (std::size_t i = 0; i < snap.frame_count; ++i) {

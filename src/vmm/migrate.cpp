@@ -13,12 +13,18 @@ namespace mercury::vmm {
 
 namespace {
 
+/// Guest execution between pre-copy rounds.
+constexpr hw::Cycles kGuestRunPerRound = 20 * hw::kCyclesPerMillisecond;
+/// Wire time for one page.
+constexpr hw::Cycles kWireCyclesPerPage =
+    4096 * 3 + 40 * hw::kCyclesPerMicrosecond / 10;
+
 /// Ship one frame's contents src->dst: map + copy on the source, wire time,
 /// and the write on the destination image.
 void send_frame(hw::Cpu& scpu, hw::Machine& src_m, hw::Machine& dst_m,
-                hw::Pfn src_pfn, hw::Pfn dst_pfn, hw::Cycles wire_per_page) {
+                hw::Pfn src_pfn, hw::Pfn dst_pfn) {
   scpu.charge(hw::costs::kPageCopy + pv::costs::kGrantMapPerPage / 2);
-  scpu.charge(wire_per_page);
+  scpu.charge(kWireCyclesPerPage);
   dst_m.memory().copy_frame_from(src_m.memory(), src_pfn, dst_pfn);
 }
 
@@ -60,15 +66,14 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
     for (std::size_t i = 0; i < d.frame_count(); ++i) {
       src.probe_fault(HvFaultPoint::kMigrateStream, &scpu);
       send_frame(scpu, src_m, dst_m, old_base + static_cast<hw::Pfn>(i),
-                 new_base + static_cast<hw::Pfn>(i),
-                 config.wire_cycles_per_page);
+                 new_base + static_cast<hw::Pfn>(i));
       ++stats.pages_sent;
     }
     stats.rounds = 1;
 
     // Iterative pre-copy: let the guest run, harvest what it dirtied, resend.
     while (stats.rounds < config.max_rounds) {
-      guest->run_for(config.guest_run_per_round);
+      guest->run_for(kGuestRunPerRound);
       // Page-table-visible dirty bits (hardware-set) join the log-dirty set.
       guest->for_each_task([&](kernel::Task& t) {
         if (!t.aspace) return;
@@ -94,8 +99,7 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
       const std::vector<hw::Pfn> dirty = d.harvest_dirty();
       for (const hw::Pfn pfn : dirty) {
         src.probe_fault(HvFaultPoint::kMigrateStream, &scpu);
-        send_frame(scpu, src_m, dst_m, pfn, new_base + (pfn - old_base),
-                   config.wire_cycles_per_page);
+        send_frame(scpu, src_m, dst_m, pfn, new_base + (pfn - old_base));
         ++stats.pages_sent;
       }
       ++stats.rounds;
@@ -111,8 +115,7 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
     const std::vector<hw::Pfn> residue = d.harvest_dirty();
     for (const hw::Pfn pfn : residue) {
       src.probe_fault(HvFaultPoint::kMigrateStream, &scpu);
-      send_frame(scpu, src_m, dst_m, pfn, new_base + (pfn - old_base),
-                 config.wire_cycles_per_page);
+      send_frame(scpu, src_m, dst_m, pfn, new_base + (pfn - old_base));
       ++stats.pages_sent;
     }
     // Vcpu state + device model handover.
@@ -181,9 +184,10 @@ MigrationStats LiveMigration::run(Hypervisor& src, DomainId dom, Hypervisor& dst
 
   stats.new_domain = new_dom;
   // The guest is frozen from the sender's stop-and-copy start until the
-  // receiver has admitted it: the downtime ends on the receiver's clock.
+  // receiver has admitted it: the downtime, and the migration, end on the
+  // receiver's clock.
   stats.downtime_cycles = dcpu.now() - down0;
-  stats.total_cycles = scpu.now() - t0;
+  stats.total_cycles = dcpu.now() - t0;
   stats.success = true;
   // The freeze is the service's unavailability window; the ledger
   // attributes it to the receiver CPU that ends it.

@@ -21,8 +21,6 @@ namespace mercury::vmm {
 struct MigrationConfig {
   std::size_t max_rounds = 5;
   std::size_t stop_threshold_pages = 64;  // residue small enough to stop
-  hw::Cycles guest_run_per_round = 20 * hw::kCyclesPerMillisecond;
-  hw::Cycles wire_cycles_per_page = 4096 * 3 + 40 * hw::kCyclesPerMicrosecond / 10;
   /// Optional per-round source of *content*-dirty frames: stores that land
   /// through the direct map and never set a PTE dirty bit (DMA completions,
   /// kernel-space writes). The cluster layer wires a DirtyFrameTracker's

@@ -47,10 +47,6 @@ class Netperf {
  public:
   static NetperfResult run(kernel::Kernel& client, PeerHost& peer,
                            const NetperfParams& p = {});
-
-  /// Step both kernels (earliest local clock first) until pred() or budget.
-  static bool co_step(kernel::Kernel& a, kernel::Kernel& b,
-                      const std::function<bool()>& pred, hw::Cycles budget);
 };
 
 }  // namespace mercury::workloads

@@ -5,6 +5,7 @@
 #include "cluster/availability.hpp"
 #include "cluster/depend.hpp"
 #include "cluster/failure.hpp"
+#include "cluster/soak.hpp"
 #include "kernel/syscalls.hpp"
 #include "vmm/checkpoint.hpp"
 
@@ -67,6 +68,42 @@ TEST(FabricTest, CoStepDrivesAllNodes) {
   });
   EXPECT_TRUE(f.co_step([&] { return a_done && b_done; },
                         100 * hw::kCyclesPerMillisecond));
+}
+
+TEST(FabricTest, CoStepReachesWorkBehindAnIdleEarliestNode) {
+  // The earliest node is fully idle, so it cannot step; the fallback must
+  // pick the next-earliest node, not the first by index. Here the first by
+  // index re-arms a timer forever and would run alone until the budget.
+  Fabric f;
+  auto& ticker = f.add_node("ticker");
+  auto& idle = f.add_node("idle");
+  auto& worker = f.add_node("worker");
+  f.connect(ticker, idle);
+  f.connect(ticker, worker);
+  const hw::Cycles t0 = idle.active().earliest_cpu_time();
+  ticker.active().advance_all_cpus_to(t0 + hw::kCyclesPerMicrosecond);
+  worker.active().advance_all_cpus_to(t0 + hw::kCyclesPerMicrosecond);
+  kernel::Kernel& tk = ticker.active();
+  std::function<void()> rearm = [&] {
+    tk.add_timer(tk.machine().cpu(0).now() + hw::kCyclesPerMillisecond, rearm);
+  };
+  rearm();
+  bool done = false;
+  worker.active().spawn("work", [&](Sys& s) -> Sub<void> {
+    co_await s.compute_us(2000.0);
+    done = true;
+  });
+  EXPECT_TRUE(f.co_step([&] { return done; }, 100 * hw::kCyclesPerMillisecond));
+}
+
+TEST(ClusterSoakTest, DefaultFleetConverges) {
+  // The fleet bench_soak runs: 4 nodes x 2 CPUs, 8 switch waves.
+  cluster::ClusterSoak soak;
+  EXPECT_TRUE(soak.run());
+  const cluster::SoakReport r = soak.report();
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.unresolved, 0u);
+  EXPECT_EQ(soak.waves_run(), 8u);
 }
 
 TEST(ScenarioTest, OnlineMaintenancePreservesWorkload) {

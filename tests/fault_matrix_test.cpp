@@ -77,8 +77,9 @@ std::string read_file(const std::string& path) {
 
 /// Parse the unsigned integer following `key` at/after `from` in raw JSON
 /// text; npos-safe. Returns UINT64_MAX when the key is absent.
-std::uint64_t json_uint_after(const std::string& json, const std::string& key,
-                              std::size_t from = 0) {
+[[maybe_unused]] std::uint64_t json_uint_after(const std::string& json,
+                                               const std::string& key,
+                                               std::size_t from = 0) {
   const std::size_t k = json.find(key, from);
   if (k == std::string::npos) return ~0ull;
   return std::stoull(json.substr(k + key.size()));

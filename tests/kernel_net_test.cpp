@@ -1,5 +1,6 @@
 // Network stack: UDP, echo, TCP-lite handshake/flow control, timeouts,
 // two-kernel co-stepping.
+#include "kernel/co_step.hpp"
 #include "tests/kernel_fixture.hpp"
 #include "workloads/netperf.hpp"
 
@@ -14,6 +15,11 @@ using workloads::PeerHost;
 class NetTest : public KernelFixture {
  protected:
   NetTest() : peer(0x0A0000FE) { peer.connect_to(*machine); }
+  /// Co-step this kernel and the peer's on the shared timeline.
+  bool co_step(const std::function<bool()>& pred, hw::Cycles budget) {
+    kernel::Kernel* const both[] = {k.get(), &peer.kernel()};
+    return kernel::co_step(both, pred, budget);
+  }
   PeerHost peer;
 };
 
@@ -24,8 +30,7 @@ TEST_F(NetTest, PingGetsEchoReply) {
     rtt = co_await s.ping(0x0A0000FE, 56, 50'000.0);
     done = true;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(), [&] { return done; },
-                               200 * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(co_step([&] { return done; }, 200 * hw::kCyclesPerMillisecond));
   EXPECT_GT(rtt, 0.0);
   EXPECT_LT(rtt, 500.0) << "RTT should be ~100us, not timer-quantized";
   EXPECT_GE(peer.kernel().net().stats().echoes_answered, 1u);
@@ -39,8 +44,7 @@ TEST_F(NetTest, PingTimesOutWhenLinkDown) {
     rtt = co_await s.ping(0x0A0000FE, 56, 3000.0);
     done = true;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(), [&] { return done; },
-                               200 * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(co_step([&] { return done; }, 200 * hw::kCyclesPerMillisecond));
   EXPECT_LT(rtt, 0.0) << "loss must be reported";
 }
 
@@ -63,8 +67,7 @@ TEST_F(NetTest, UdpRoundTrip) {
     got = r.ok;
     co_return;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(), [&] { return got; },
-                               400 * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(co_step([&] { return got; }, 400 * hw::kCyclesPerMillisecond));
   EXPECT_EQ(got_bytes, 1200u);
 }
 
@@ -76,8 +79,7 @@ TEST_F(NetTest, UdpToClosedPortIsDropped) {
     co_await s.sleep_us(2000.0);
     done = true;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(), [&] { return done; },
-                               100 * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(co_step([&] { return done; }, 100 * hw::kCyclesPerMillisecond));
   EXPECT_GE(peer.kernel().net().stats().dropped_no_socket, 1u);
 }
 
@@ -104,9 +106,8 @@ TEST_F(NetTest, TcpTransfersAllBytes) {
     client_done = true;
     co_return;
   });
-  EXPECT_TRUE(Netperf::co_step(*k, peer.kernel(),
-                               [&] { return server_done && client_done; },
-                               5000ull * hw::kCyclesPerMillisecond));
+  EXPECT_TRUE(co_step([&] { return server_done && client_done; },
+                      5000ull * hw::kCyclesPerMillisecond));
   EXPECT_EQ(received, kBytes);
   EXPECT_GT(k->net().stats().tcp_segments_tx, kBytes / 1448);
   EXPECT_GT(peer.kernel().net().stats().tcp_acks_tx, 0u);
@@ -130,11 +131,9 @@ TEST_F(NetTest, TcpWindowBoundsUnackedBytes) {
     co_await s.tcp_send(fd, 4 * 1024 * 1024);
     co_return;
   });
-  Netperf::co_step(*k, peer.kernel(), [&] { return established; },
-                   100 * hw::kCyclesPerMillisecond);
+  co_step([&] { return established; }, 100 * hw::kCyclesPerMillisecond);
   peer.link().set_up(false);  // no more ACKs
-  Netperf::co_step(*k, peer.kernel(), [] { return false; },
-                   50 * hw::kCyclesPerMillisecond);
+  co_step([] { return false; }, 50 * hw::kCyclesPerMillisecond);
   // Unacked in-flight bounded by window/segment (+slack for ACKs already
   // in flight when the link died).
   EXPECT_LE(k->net().stats().tcp_segments_tx, 2 * (64 * 1024 / 1448) + 8);

@@ -13,7 +13,6 @@
 #include "obs/pause_ledger.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/profiler.hpp"
-#include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "tests/json_checker.hpp"
 #include "tests/postmortem_dir.hpp"
@@ -187,13 +186,13 @@ TEST(EventRing, EventsJsonIsWellFormed) {
   obs::EventRing ring(8);
   ring.record(2, obs::EventType::kFaultHit, "vmm.adopt_protect", 4500, 4, 0,
               1);
-  ring.record(0, obs::EventType::kSloBreach, "switch.attach", 9000, 88, 11);
+  ring.record(0, obs::EventType::kSwitchCommit, "switch.attach", 9000, 88, 11);
   ring.record(obs::Event{.name = "switch.detach", .type = obs::EventType::kSpan,
                          .begin = 9000, .end = 9600});
   const std::string json = obs::events_json(ring.events());
   EXPECT_TRUE(JsonChecker(json).ok()) << json.substr(0, 400);
   EXPECT_NE(json.find("\"fault.hit\""), std::string::npos);
-  EXPECT_NE(json.find("\"slo.breach\""), std::string::npos);
+  EXPECT_NE(json.find("\"switch.commit\""), std::string::npos);
   EXPECT_NE(json.find("vmm.adopt_protect"), std::string::npos);
   EXPECT_NE(json.find("[88,11,0]"), std::string::npos);
   // A span is stamped at its end and carries its duration as args[0].
@@ -657,31 +656,6 @@ TEST(TimeSeriesSampler, RingDropsOldestPastCapacity) {
   EXPECT_DOUBLE_EQ(pts.back().v, 9.0);
   EXPECT_EQ(sampler.dropped(), 6u);
   EXPECT_EQ(sampler.samples_taken(), 10u);
-}
-
-// --- SLO watchdog ------------------------------------------------------------
-
-TEST(SloWatchdog, FlagsOnlyBudgetExceedances) {
-  obs::SloWatchdog dog;
-  dog.set_budget("test.slo.phase", 1000);
-  EXPECT_EQ(dog.budget("test.slo.phase"), 1000u);
-  EXPECT_FALSE(dog.observe("test.slo.phase", 1000, 0, 5000));  // at budget: ok
-  EXPECT_EQ(dog.breaches(), 0u);
-  EXPECT_TRUE(dog.observe("test.slo.phase", 1001, 0, 6000));
-  EXPECT_EQ(dog.breaches(), 1u);
-  // Unlimited (0) and unknown phases never breach.
-  dog.set_budget("test.slo.unlimited", 0);
-  EXPECT_FALSE(dog.observe("test.slo.unlimited", 1u << 30, 0, 7000));
-  EXPECT_FALSE(dog.observe("test.slo.never_declared", 1u << 30, 0, 8000));
-  EXPECT_EQ(dog.breaches(), 1u);
-}
-
-TEST(SloWatchdog, RedeclaringABudgetReplacesIt) {
-  obs::SloWatchdog dog;
-  dog.set_budget("test.slo.phase2", 100);
-  dog.set_budget("test.slo.phase2", 10000);
-  EXPECT_EQ(dog.budget("test.slo.phase2"), 10000u);
-  EXPECT_FALSE(dog.observe("test.slo.phase2", 500, 0, 0));
 }
 
 // --- postmortem bundles ------------------------------------------------------

@@ -119,6 +119,18 @@ TEST(MigrationTest, DirtyPagesTriggerExtraRounds) {
       << "downtime must be a small fraction of total migration time";
 }
 
+#if MERCURY_OBS_ENABLED
+/// Where the last migration's stop-and-copy began, read from the event ring.
+std::optional<hw::Cycles> last_stopcopy_begin() {
+  std::optional<hw::Cycles> begin;
+  for (const obs::Event& e : obs::event_ring().events())
+    if (e.type == obs::EventType::kPhaseBegin &&
+        std::string_view(e.name) == "migrate.stopcopy")
+      begin = e.begin;
+  return begin;
+}
+#endif
+
 TEST(MigrationTest, DowntimeRunsUntilTheReceiverHasAdmittedTheGuest) {
 #if !MERCURY_OBS_ENABLED
   GTEST_SKIP() << "reads the stop-and-copy start from the event ring";
@@ -134,13 +146,31 @@ TEST(MigrationTest, DowntimeRunsUntilTheReceiverHasAdmittedTheGuest) {
       t.b->mercury().hypervisor());
   ASSERT_TRUE(stats.success);
   const hw::Cycles admitted = t.b->machine().cpu(0).now();
-  std::optional<hw::Cycles> stopcopy_start;
-  for (const obs::Event& e : obs::event_ring().events())
-    if (e.type == obs::EventType::kPhaseBegin &&
-        std::string_view(e.name) == "migrate.stopcopy")
-      stopcopy_start = e.begin;
+  const std::optional<hw::Cycles> stopcopy_start = last_stopcopy_begin();
   ASSERT_TRUE(stopcopy_start.has_value());
   EXPECT_EQ(stats.downtime_cycles, admitted - *stopcopy_start);
+#endif
+}
+
+TEST(MigrationTest, TotalEndsWhereTheDowntimeEnds) {
+#if !MERCURY_OBS_ENABLED
+  GTEST_SKIP() << "reads the stop-and-copy start from the event ring";
+#else
+  // The migration is over when the receiver has admitted the guest, on the
+  // same receiver clock the downtime ends on: the total is the pre-copy
+  // span plus the downtime.
+  TwoNodes t;
+  ASSERT_TRUE(t.b->mercury().switch_to(core::ExecMode::kPartialVirtual));
+  ASSERT_TRUE(t.a->mercury().switch_to(core::ExecMode::kFullVirtual));
+  const hw::Cycles t0 = t.a->machine().cpu(0).now();
+  const auto stats = vmm::LiveMigration::run(
+      t.a->mercury().hypervisor(), t.a->mercury().guest_vo().dom(),
+      t.b->mercury().hypervisor());
+  ASSERT_TRUE(stats.success);
+  const std::optional<hw::Cycles> stopcopy_start = last_stopcopy_begin();
+  ASSERT_TRUE(stopcopy_start.has_value());
+  EXPECT_EQ(stats.total_cycles,
+            stats.downtime_cycles + (*stopcopy_start - t0));
 #endif
 }
 
